@@ -190,43 +190,46 @@ def run_quantum_windows(
 # ---------------------------------------------------------------------------
 
 
+def _csv_line(cells) -> str:
+    """One csv.writer row: floats as ``_f`` text never need quoting."""
+    return ",".join(cells) + "\r\n"
+
+
 def write_trace_csv(traj: Trajectory, path: Path) -> None:
     n = traj.topology.neuron_count
     m = traj.topology.n_links
     indicator = traj.spike_indicator()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+        fh.write(_csv_line(
             ["t_ms"]
             + [f"v_{i}" for i in range(n)]
             + [f"gs_{l}" for l in range(m)]
             + [f"spike_{i}" for i in range(n)]
-        )
+        ))
         for row in range(traj.times.size):
-            writer.writerow(
-                [_f(traj.times[row])]
-                + [_f(x) for x in traj.v[row]]
-                + [_f(x) for x in traj.gs[row]]
-                + [str(int(x)) for x in indicator[row]]
-            )
+            fh.write(_csv_line([
+                _f(traj.times[row]),
+                *map(repr, traj.v[row].tolist()),
+                *map(repr, traj.gs[row].tolist()),
+                *map(str, indicator[row].tolist()),
+            ]))
 
 
 def write_quantum_csv(records: list[WindowRecord], up_dim: int, down_dim: int, path: Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+        fh.write(_csv_line(
             ["window", "t_start_ms", "prob_sum_up", "degenerate"]
             + [f"a_sq_{k}" for k in range(up_dim)]
             + [f"b_sq_{l}" for l in range(down_dim)]
             + [f"count_{l}" for l in range(down_dim)]
-        )
+        ))
         for rec in records:
-            writer.writerow(
-                [str(rec.index), _f(rec.t_start_ms), _f(rec.prob_sum_up), str(int(rec.degenerate))]
-                + [_f(x) for x in rec.up_probs]
-                + [_f(x) for x in rec.down_probs]
-                + [str(int(c)) for c in rec.counts]
-            )
+            fh.write(_csv_line([
+                str(rec.index), _f(rec.t_start_ms), _f(rec.prob_sum_up), str(int(rec.degenerate)),
+                *map(repr, rec.up_probs.tolist()),
+                *map(repr, rec.down_probs.tolist()),
+                *map(str, rec.counts.tolist()),
+            ]))
 
 
 def write_calibration_csv(report: CalibrationReport, path: Path) -> None:

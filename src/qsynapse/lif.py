@@ -156,13 +156,29 @@ class NetworkTopology:
         return owner
 
     @cached_property
+    def gap_incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dst, src, g) per directed coupling, in pair order with i before j.
+
+        ``np.bincount`` sums into each bin in input order starting from 0.0,
+        so sums over these arrays equal a per-pair accumulation bitwise.  It
+        returns integer zeros for empty input, hence the float casts below.
+        """
+        pairs = self.elec_pairs
+        ends = np.array([(i, j) for i, j, _ in pairs], dtype=np.intp).reshape(-1, 2)
+        g = np.array([g for _, _, g in pairs], dtype=float)
+        return ends.ravel(), ends[:, ::-1].ravel(), np.repeat(g, 2)
+
+    @cached_property
     def gap_conductance_sum(self) -> np.ndarray:
         """Per-neuron total gap-junction conductance."""
-        total = np.zeros(self.neuron_count)
-        for i, j, g in self.elec_pairs:
-            total[i] += g
-            total[j] += g
-        return total
+        dst, _, g = self.gap_incidence
+        return np.bincount(dst, weights=g, minlength=self.neuron_count).astype(float, copy=False)
+
+    def gap_input(self, v: np.ndarray) -> np.ndarray:
+        """Per-neuron sum of g_elec * v_k over gap-coupled neighbours k."""
+        dst, src, g = self.gap_incidence
+        out = np.bincount(dst, weights=g * v[src], minlength=self.neuron_count)
+        return out.astype(float, copy=False)
 
     @cached_property
     def links_per_neuron(self) -> np.ndarray:
@@ -338,14 +354,10 @@ def step_network(
     spikes = np.asarray(spike_inputs, dtype=float)
     if spikes.shape[0] != topology.n_links:
         raise ValueError("spike_inputs length must equal the number of links")
-    gap_const = np.zeros(topology.neuron_count)
-    for i, j, g in topology.elec_pairs:
-        gap_const[i] += g * v[j]
-        gap_const[j] += g * v[i]
     dr = np.zeros(topology.neuron_count) if drives is None else np.asarray(drives, dtype=float)
     v1, gs1, crossed = _advance(
         v, gs_global, topology.link_owner, topology.links_per_neuron, params,
-        dr, spikes, gap_const, topology.gap_conductance_sum, dt, t, integrator,
+        dr, spikes, topology.gap_input(v), topology.gap_conductance_sum, dt, t, integrator,
     )
     new_states = []
     events = []
@@ -444,19 +456,14 @@ def simulate_network(
     ev_times: list[float] = []
     ev_neurons: list[int] = []
     gap_g = topology.gap_conductance_sum
-    pairs = topology.elec_pairs
     owner = topology.link_owner
     n_links = topology.links_per_neuron
 
     for i in range(n_steps):
         t = float(times[i])
-        gap_const = np.zeros(n)
-        for a, b, g in pairs:
-            gap_const[a] += g * v[b]
-            gap_const[b] += g * v[a]
         try:
             v, gs, crossed = _advance(
-                v, gs, owner, n_links, params, dr, counts[i], gap_const, gap_g,
+                v, gs, owner, n_links, params, dr, counts[i], topology.gap_input(v), gap_g,
                 dt_ms, t, integrator,
             )
         except NumericalDivergenceError as err:

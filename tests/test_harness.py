@@ -439,3 +439,70 @@ class TestMinimalScenarioOracle:
             t = float(row["t_ms"])
             expected = p.v_rest + (p.v_init - p.v_rest) * math.exp(-t * p.g_leak / p.cm)
             assert abs(float(row["v_0"]) - expected) < 1e-8
+
+
+class TestCsvWriterBytes:
+    """The writers emit exactly what csv.writer does with repr(float(x)) cells."""
+
+    ODD = [-0.0, 5e-324, 1e-05, 1e16, math.nan, math.inf, -math.inf, 0.1 + 0.2, -65.0]
+
+    @staticmethod
+    def reference(path: Path, header, rows) -> bytes:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("upstream", [[[0], [1, 2], []], [[], [], []]])
+    def test_trace_csv(self, tmp_path, upstream):
+        from qsynapse.harness import write_trace_csv
+        from qsynapse.lif import Trajectory
+
+        topo = NetworkTopology.build(3, upstream)
+        m = topo.n_links
+        vals = np.array(self.ODD * 4)
+        traj = Trajectory(
+            dt_ms=0.1,
+            times=np.arange(5) * 0.1,
+            v=vals[:15].reshape(5, 3),
+            gs=vals[15:15 + 5 * m].reshape(5, m),
+            spike_times=np.array([0.1, 0.2, 0.2]),
+            spike_neurons=np.array([0, 2, 2]),
+            params=LifParams(),
+            topology=topo,
+        )
+        header = (["t_ms"] + [f"v_{i}" for i in range(3)] + [f"gs_{l}" for l in range(m)]
+                  + [f"spike_{i}" for i in range(3)])
+        ind = traj.spike_indicator()
+        rows = [[repr(float(traj.times[r]))] + [repr(float(x)) for x in traj.v[r]]
+                + [repr(float(x)) for x in traj.gs[r]] + [str(int(x)) for x in ind[r]]
+                for r in range(5)]
+        write_trace_csv(traj, tmp_path / "trace.csv")
+        got = (tmp_path / "trace.csv").read_bytes()
+        assert got == self.reference(tmp_path / "ref.csv", header, rows)
+        assert got.count(b"\r\n") == 6
+        assert (b"gs_" in got.splitlines()[0]) == bool(m)
+
+    def test_quantum_csv(self, tmp_path):
+        from qsynapse.harness import WindowRecord, write_quantum_csv
+
+        recs = [
+            WindowRecord(0, 0.0, 0.0, True, np.zeros(2), np.full(3, 1 / 3),
+                         np.zeros(3, dtype=int), np.zeros(3, dtype=complex)),
+            WindowRecord(1, 1.2000000000000002, 1e16, False, np.array(self.ODD[:2]),
+                         np.array(self.ODD[2:5]), np.array([0, 7, 1993]), np.zeros(3, dtype=complex)),
+            WindowRecord(2, 2.4, 5e-324, False, np.array(self.ODD[5:7]),
+                         np.array(self.ODD[6:9]), np.array([2000, 0, 0]), np.zeros(3, dtype=complex)),
+        ]
+        header = (["window", "t_start_ms", "prob_sum_up", "degenerate"]
+                  + [f"a_sq_{k}" for k in range(2)] + [f"b_sq_{l}" for l in range(3)]
+                  + [f"count_{l}" for l in range(3)])
+        rows = [[str(r.index), repr(float(r.t_start_ms)), repr(float(r.prob_sum_up)),
+                 str(int(r.degenerate))] + [repr(float(x)) for x in r.up_probs]
+                + [repr(float(x)) for x in r.down_probs] + [str(int(c)) for c in r.counts]
+                for r in recs]
+        write_quantum_csv(recs, 2, 3, tmp_path / "quantum.csv")
+        got = (tmp_path / "quantum.csv").read_bytes()
+        assert got == self.reference(tmp_path / "ref.csv", header, rows)
+        assert got.splitlines()[1] == b"0,0.0,0.0,1,0.0,0.0," + b",".join([repr(1 / 3).encode()] * 3) + b",0,0,0"

@@ -357,3 +357,89 @@ class TestStateValidation:
         states.append(NeuronState(v=-65.0, gs=np.zeros(1)))
         with pytest.raises(ValueError, match="spike_inputs length"):
             step_network(states, topo, p, [0], 0.1)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def pair_loop_oracle(params, topology, events, t_end, dt, drives):
+    """simulate_network with gap coupling summed by a Python loop over pairs."""
+    from qsynapse.lif import _advance, bin_spike_events
+
+    n, m = topology.neuron_count, topology.n_links
+    n_steps = int(round(t_end / dt))
+    counts = bin_spike_events(events, n_steps, m, dt)
+    times = np.arange(n_steps + 1) * dt
+    gap_g = np.zeros(n)
+    for a, b, g in topology.elec_pairs:
+        gap_g[a] += g
+        gap_g[b] += g
+    v, gs = np.full(n, params.v_init), np.zeros(m)
+    vs, gss, ev_times, ev_neurons = [v], [gs], [], []
+    for i in range(n_steps):
+        gap_const = np.zeros(n)
+        for a, b, g in topology.elec_pairs:
+            gap_const[a] += g * v[b]
+            gap_const[b] += g * v[a]
+        v, gs, crossed = _advance(
+            v, gs, topology.link_owner, topology.links_per_neuron, params, drives,
+            counts[i], gap_const, gap_g, dt, float(times[i]), "rk4",
+        )
+        vs.append(v)
+        gss.append(gs)
+        for idx in np.flatnonzero(crossed):
+            ev_times.append(float(times[i]))
+            ev_neurons.append(int(idx))
+    return gap_g, np.array(vs), np.array(gss), ev_times, ev_neurons
+
+
+@st.composite
+def gap_networks(draw):
+    """Topologies up to 60 neurons with repeated, reversed and zero-g pairs."""
+    n = draw(st.integers(1, 60))
+    upstream, next_id = [], 0
+    for has_link in draw(st.lists(st.booleans(), min_size=n, max_size=n)):
+        upstream.append([next_id] if has_link else [])
+        next_id += int(has_link)
+    g = st.one_of(st.just(0.0), st.floats(0.0, 0.05))
+    pairs = []
+    if n > 1:
+        for i, d, gij in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), g),
+                                       max_size=3 * n)):
+            pairs.append((i, (i + d) % n, gij))
+    n_steps = draw(st.integers(1, 40))
+    events = []
+    if next_id:
+        events = draw(st.lists(st.tuples(st.floats(0.0, n_steps * 0.1, exclude_max=True),
+                                         st.integers(0, next_id - 1)), max_size=60))
+    drives = draw(st.lists(st.floats(0.0, 6.0), min_size=n, max_size=n))
+    return NetworkTopology.build(n, upstream, pairs), sorted(events), n_steps, np.array(drives)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gap_networks())
+def test_gap_coupling_matches_pair_loop_bitwise(net):
+    topo, events, n_steps, drives = net
+    p = LifParams(spike_jump=8.0)
+    dt = 0.1
+    traj = simulate_network(p, topo, events, n_steps * dt, dt, drives=drives)
+    gap_g, v, gs, ev_times, ev_neurons = pair_loop_oracle(p, topo, events, n_steps * dt, dt, drives)
+    assert _same_bits(topo.gap_conductance_sum, gap_g)
+    assert _same_bits(traj.v, v)
+    assert _same_bits(traj.gs, gs)
+    assert _same_bits(traj.spike_times, np.array(ev_times))
+    assert _same_bits(traj.spike_neurons, np.array(ev_neurons, dtype=np.intp))
+
+    from qsynapse.lif import bin_spike_events
+
+    counts = bin_spike_events(events, n_steps, topo.n_links, dt)
+    states = [NeuronState(v=p.v_init, gs=np.zeros(len(links))) for links in topo.upstream_links]
+    for i in range(n_steps):
+        t = float(traj.times[i])
+        states, fired = step_network(states, topo, p, counts[i], dt, drives=drives, t=t)
+        assert _same_bits(np.array([s.v for s in states]), traj.v[i + 1])
+        for s, links in zip(states, topo.upstream_links):
+            assert _same_bits(s.gs, traj.gs[i + 1][list(links)])
+        assert fired == [(int(k), t) for k in traj.spike_neurons[traj.spike_times == t]]
