@@ -17,7 +17,10 @@ _U64 = (1 << 64) - 1
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for the (seed, stream) pair."""
-    return np.random.Generator(np.random.Philox(key=[seed & _U64, stream & _U64]))
+    # an explicit uint64 key keeps all 64 bits; a list with a value >= 2**63
+    # would become float64 and collapse seeds that differ in their low bits
+    key = np.array([seed & _U64, stream & _U64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_indices(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
