@@ -161,7 +161,7 @@ class NetworkTopology:
 
         ``np.bincount`` sums into each bin in input order starting from 0.0,
         so sums over these arrays equal a per-pair accumulation bitwise.  It
-        returns integer zeros for empty input, hence the float casts below.
+        returns integer zeros for empty input, which the users below avoid.
         """
         pairs = self.elec_pairs
         ends = np.array([(i, j) for i, j, _ in pairs], dtype=np.intp).reshape(-1, 2)
@@ -177,8 +177,9 @@ class NetworkTopology:
     def gap_input(self, v: np.ndarray) -> np.ndarray:
         """Per-neuron sum of g_elec * v_k over gap-coupled neighbours k."""
         dst, src, g = self.gap_incidence
-        out = np.bincount(dst, weights=g * v[src], minlength=self.neuron_count)
-        return out.astype(float, copy=False)
+        if not dst.size:
+            return np.zeros(self.neuron_count)
+        return np.bincount(dst, weights=g * v[src], minlength=self.neuron_count)
 
     @cached_property
     def links_per_neuron(self) -> np.ndarray:
