@@ -22,6 +22,8 @@ from qsynapse.engine import (
     save_operator_text,
     spin_half_generators,
 )
+from qsynapse.harness import window_measure_seed
+from qsynapse.rng import stream_rng
 
 
 def taylor_expm(h: np.ndarray, scale: float, terms: int = 30) -> np.ndarray:
@@ -273,13 +275,9 @@ class TestMeasure:
         assert measure(st_, 10_000, seed=77) != measure(st_, 10_000, seed=78)
 
     def test_seeds_at_or_above_2_63_keep_their_low_bits(self):
-        from qsynapse.rng import stream_rng
-
         assert not np.array_equal(stream_rng(2**63 + 1).random(4), stream_rng(2**63 + 2).random(4))
 
     def test_salted_window_seeds_draw_distinct_histograms(self):
-        from qsynapse.harness import window_measure_seed
-
         st_ = QuantumState.from_amplitudes([math.sqrt(0.3), math.sqrt(0.7)], normalize=True)
         zeros = {measure(st_, 2000, window_measure_seed(1 << 20, w))["0"] for w in range(50)}
         assert len(zeros) > 10  # binomial sd ~20 over 50 windows

@@ -22,7 +22,14 @@ from qsynapse import (
     run_scenario,
     simulate_network,
 )
-from qsynapse.harness import resolve_out_dir, run_quantum_windows
+from qsynapse.harness import (
+    WindowRecord,
+    resolve_out_dir,
+    run_quantum_windows,
+    write_quantum_csv,
+    write_trace_csv,
+)
+from qsynapse.lif import Trajectory
 from qsynapse.scenario import QuantumRunConfig
 
 
@@ -456,9 +463,6 @@ class TestCsvWriterBytes:
 
     @pytest.mark.parametrize("upstream", [[[0], [1, 2], []], [[], [], []]])
     def test_trace_csv(self, tmp_path, upstream):
-        from qsynapse.harness import write_trace_csv
-        from qsynapse.lif import Trajectory
-
         topo = NetworkTopology.build(3, upstream)
         m = topo.n_links
         vals = np.array(self.ODD * 4)
@@ -485,8 +489,6 @@ class TestCsvWriterBytes:
         assert (b"gs_" in got.splitlines()[0]) == bool(m)
 
     def test_quantum_csv(self, tmp_path):
-        from qsynapse.harness import WindowRecord, write_quantum_csv
-
         recs = [
             WindowRecord(0, 0.0, 0.0, True, np.zeros(2), np.full(3, 1 / 3),
                          np.zeros(3, dtype=int), np.zeros(3, dtype=complex)),

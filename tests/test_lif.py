@@ -16,7 +16,7 @@ from qsynapse import (
     step_network,
     step_neuron,
 )
-from qsynapse.lif import window_crossings
+from qsynapse.lif import _advance, bin_spike_events, window_crossings
 
 DEFAULT_PARAMS = LifParams()  # cm=1, g_leak=0.0551, v_rest=-65, v_init=-70.6837
 
@@ -366,8 +366,6 @@ def _same_bits(a, b) -> bool:
 
 def pair_loop_oracle(params, topology, events, t_end, dt, drives):
     """simulate_network with gap coupling summed by a Python loop over pairs."""
-    from qsynapse.lif import _advance, bin_spike_events
-
     n, m = topology.neuron_count, topology.n_links
     n_steps = int(round(t_end / dt))
     counts = bin_spike_events(events, n_steps, m, dt)
@@ -431,8 +429,6 @@ def test_gap_coupling_matches_pair_loop_bitwise(net):
     assert _same_bits(traj.gs, gs)
     assert _same_bits(traj.spike_times, np.array(ev_times))
     assert _same_bits(traj.spike_neurons, np.array(ev_neurons, dtype=np.intp))
-
-    from qsynapse.lif import bin_spike_events
 
     counts = bin_spike_events(events, n_steps, topo.n_links, dt)
     states = [NeuronState(v=p.v_init, gs=np.zeros(len(links))) for links in topo.upstream_links]
