@@ -13,13 +13,10 @@ from .errors import (
 from .lif import (
     LifParams,
     NetworkTopology,
-    NeuronState,
     Trajectory,
     decay_conductance,
     measure_firing_probability,
     simulate_network,
-    step_network,
-    step_neuron,
 )
 from .spikes import RateProfile, SpikeTrain, generate_poisson, merge_trains
 from .engine import (
@@ -38,7 +35,6 @@ from .synapse import (
     SynapseCircuit,
     TaggedState,
     bidirectional_step,
-    compose_tags,
     default_composition_table,
     encode_up,
     evolve_down,
@@ -60,13 +56,10 @@ __all__ = [
     "UnknownTagError",
     "LifParams",
     "NetworkTopology",
-    "NeuronState",
     "Trajectory",
     "decay_conductance",
     "measure_firing_probability",
     "simulate_network",
-    "step_network",
-    "step_neuron",
     "RateProfile",
     "SpikeTrain",
     "generate_poisson",
@@ -84,7 +77,6 @@ __all__ = [
     "SynapseCircuit",
     "TaggedState",
     "bidirectional_step",
-    "compose_tags",
     "default_composition_table",
     "encode_up",
     "evolve_down",

@@ -18,7 +18,14 @@ import numpy as np
 
 from .engine import QuantumState, measure
 from .lif import Trajectory, measure_firing_probability
-from .synapse import SynapseCircuit, bidirectional_step, encode_up, evolve_down, shutdown_link
+from .synapse import (
+    SynapseCircuit,
+    TaggedState,
+    encode_up,
+    gate_by_tag,
+    run_circuit,
+    shutdown_link,
+)
 
 MIN_WINDOWS = 100
 MIN_SHOTS = 10_000
@@ -55,23 +62,38 @@ class CalibrationReport:
     degenerate: bool = False
     seeds: tuple[int, int] = (0, 0)
 
-    def to_kv_rows(self) -> list[tuple[str, str]]:
-        """Flat key-value rows for the CSV block."""
-        rows: list[tuple[str, str]] = []
-        for k, p in enumerate(self.classical_probs):
-            rows.append((f"classical_p_{k}", repr(float(p))))
-        for k, f in enumerate(self.quantum_freqs):
-            rows.append((f"quantum_freq_{k}", repr(float(f))))
-        rows.append(("tv_distance", repr(float(self.tv_distance))))
-        rows.append(("ks_statistic", repr(float(self.ks_stat))))
-        rows.append(("windows", str(self.windows)))
-        rows.append(("shots", str(self.shots)))
-        rows.append(("epsilon", repr(float(self.epsilon))))
-        rows.append(("seed_classical", str(self.seeds[0])))
-        rows.append(("seed_quantum", str(self.seeds[1])))
-        rows.append(("degenerate", str(int(self.degenerate))))
-        rows.append(("passed", str(int(self.passed))))
-        return rows
+    def kv_fields(self) -> list[tuple[str, str, object]]:
+        """(key, kind, value) per CSV field, in file order; see ``harness.kv_rows``."""
+        return [
+            ("classical_p", "floats", self.classical_probs),
+            ("quantum_freq", "floats", self.quantum_freqs),
+            ("tv_distance", "float", self.tv_distance),
+            ("ks_statistic", "float", self.ks_stat),
+            ("windows", "count", self.windows),
+            ("shots", "count", self.shots),
+            ("epsilon", "float", self.epsilon),
+            ("seed_classical", "count", self.seeds[0]),
+            ("seed_quantum", "count", self.seeds[1]),
+            ("degenerate", "flag", self.degenerate),
+            ("passed", "flag", self.passed),
+        ]
+
+
+def readout(
+    circuit: SynapseCircuit,
+    psi_down: QuantumState,
+    shots: int,
+    seed: int,
+    tags: Sequence[str] | None = None,
+    blocked_tags: Sequence[str] = (),
+) -> np.ndarray:
+    """Measured counts in basis order: shutdowns, then the tag gate, then ``measure``."""
+    for link in circuit.shutdown_links:
+        psi_down = shutdown_link(psi_down, link)
+    if tags is not None and blocked_tags:
+        psi_down = gate_by_tag(TaggedState(psi_down, tags), blocked_tags).state
+    counts = measure(psi_down, shots, seed)
+    return np.array([counts[label] for label in psi_down.basis_labels])
 
 
 def settle_circuit(
@@ -80,24 +102,13 @@ def settle_circuit(
     window_ms: float,
     dt: float,
     params,
-    v_now: float | None = None,
-    psi_down: QuantumState | None = None,
 ) -> QuantumState:
-    """Run the downstream evolution for one window from a uniform start."""
-    if psi_down is None:
-        psi_down = QuantumState.uniform(circuit.down_dim)
-    v = params.v_rest if v_now is None else v_now
-    if circuit.coupling is None:
-        drive = psi_up
-    else:
-        drive = QuantumState.from_amplitudes(
-            circuit.coupling @ psi_up.amplitudes, psi_down.basis_labels, normalize=True
-        )
+    """Run the circuit for one window at rest from a uniform downstream start."""
     steps = max(1, int(round(window_ms / dt)))
-    for _ in range(steps):
-        psi_down = evolve_down(psi_down, drive, v, params, circuit.drive_scale, dt)
-        if circuit.mode == "bidirectional":
-            _, psi_down = bidirectional_step(circuit, psi_up, psi_down, v, params, dt)
+    _, psi_down = run_circuit(
+        circuit, psi_up, QuantumState.uniform(circuit.down_dim),
+        [params.v_rest] * steps, params, dt,
+    )
     return psi_down
 
 
@@ -111,7 +122,6 @@ def calibrate(
     *,
     dt: float = 0.1,
     link_neurons: Sequence[int] | None = None,
-    phases: Sequence[float] | None = None,
 ) -> CalibrationReport:
     """Compare classical crossing statistics against circuit measurement.
 
@@ -138,31 +148,17 @@ def calibrate(
     p = np.array(
         [measure_firing_probability(trajectory, window_ms, n) for n in neurons]
     )
-    if p.sum() == 0.0:
-        return CalibrationReport(
-            classical_probs=p,
-            quantum_freqs=np.zeros(circuit.down_dim),
-            tv_distance=1.0,
-            ks_stat=1.0,
-            windows=n_windows,
-            shots=shots,
-            epsilon=epsilon,
-            passed=False,
-            degenerate=True,
-            seeds=tuple(seeds),
-        )
-
-    circuit.check_up_probabilities(p)
-    psi_up = encode_up(p, phases)
-    psi_down = settle_circuit(circuit, psi_up, window_ms, dt, trajectory.params)
-    for link in circuit.shutdown_links:
-        psi_down = shutdown_link(psi_down, link)
-    counts = measure(psi_down, shots, seeds[1])
-    freqs = np.array([counts[label] for label in psi_down.basis_labels]) / shots
-
-    classical = p / p.sum()
-    tv = total_variation(classical, freqs)
-    ks = ks_statistic(classical, freqs)
+    degenerate = bool(p.sum() == 0.0)
+    if degenerate:
+        freqs = np.zeros(circuit.down_dim)
+        tv = ks = 1.0
+    else:
+        circuit.check_up_probabilities(p)
+        psi_down = settle_circuit(circuit, encode_up(p), window_ms, dt, trajectory.params)
+        freqs = readout(circuit, psi_down, shots, seeds[1]) / shots
+        classical = p / p.sum()
+        tv = total_variation(classical, freqs)
+        ks = ks_statistic(classical, freqs)
     return CalibrationReport(
         classical_probs=p,
         quantum_freqs=freqs,
@@ -171,6 +167,7 @@ def calibrate(
         windows=n_windows,
         shots=shots,
         epsilon=epsilon,
-        passed=tv < epsilon,
+        passed=not degenerate and tv < epsilon,
+        degenerate=degenerate,
         seeds=tuple(seeds),
     )

@@ -16,7 +16,6 @@ from . import __version__
 from .errors import ConfigError, NumericalDivergenceError
 from .harness import resolve_out_dir, run_fusion_demo, run_scenario, write_fusion_csv
 from .scenario import load_config
-from .synapse import SynapseCircuit
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -81,14 +80,10 @@ def main(argv=None) -> int:
                 print("config error: fuse requires a fusion block", file=sys.stderr)
                 return EXIT_CONFIG
             fus = config.fusion
-            n = len(fus.scenario.sensors)
-            circuit = SynapseCircuit(
-                up_dim=n, down_dim=n, shutdown_links=fus.shutdown_links
-            )
             seed = config.seed if args.seed is None else args.seed
             report = run_fusion_demo(
                 fus.scenario,
-                circuit,
+                fus.circuit,
                 fus.shots,
                 seed,
                 window_ms=fus.window_ms,

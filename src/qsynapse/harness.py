@@ -16,7 +16,6 @@ window.  All randomness flows from raw Philox uniforms.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import json
 import os
@@ -26,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import CalibrationReport, calibrate, settle_circuit, total_variation
-from .engine import QuantumState, measure
+from .calibration import calibrate, readout, settle_circuit, total_variation
+from .engine import QuantumState
+from .engine import measure  # noqa: F401  (perfbench/spans.py traces harness.measure)
 from .errors import NumericalDivergenceError
 from .lif import (
     LifParams,
@@ -40,16 +40,7 @@ from .lif import (
 from .rng import stream_rng
 from .scenario import FusionScenario, QuantumRunConfig, ScenarioConfig
 from .spikes import RateProfile, generate_poisson, merge_trains
-from .synapse import (
-    SynapseCircuit,
-    TaggedState,
-    bidirectional_step,
-    encode_up,
-    evolve_down,
-    gate_by_tag,
-    gate_up,
-    shutdown_link,
-)
+from .synapse import SynapseCircuit, encode_up, run_circuit
 
 TRACE_FORMAT_VERSION = 1
 OUT_ROOT_ENV = "QSYNAPSE_OUT"
@@ -110,73 +101,39 @@ def run_quantum_windows(
     upstream state is recorded but the next step keeps the gated encoding.
     """
     circuit = qcfg.circuit
-    params = traj.params
     dt = traj.dt_ms
     stride = int(round(qcfg.window_ms / dt))
     n_windows = traj.n_steps // stride
     crossed = window_crossings(traj, qcfg.window_ms)[:n_windows]
     encode_idx = list(qcfg.encode_neurons)
+    potentials = traj.v[:, qcfg.potential_neuron]
 
     psi_down = QuantumState.uniform(circuit.down_dim)
     records: list[WindowRecord] = []
     for w in range(n_windows):
-        t_start = w * qcfg.window_ms
         p = crossed[: w + 1, encode_idx].mean(axis=0)
         prob_sum = float(p.sum())
         if prob_sum == 0.0:
-            records.append(
-                WindowRecord(
-                    index=w,
-                    t_start_ms=t_start,
-                    prob_sum_up=0.0,
-                    degenerate=True,
-                    up_probs=np.zeros(circuit.up_dim),
-                    down_probs=psi_down.probabilities(),
-                    counts=np.zeros(circuit.down_dim, dtype=int),
-                    down_amplitudes=np.array(psi_down.amplitudes),
-                )
+            up_probs = np.zeros(circuit.up_dim)
+            counts = np.zeros(circuit.down_dim, dtype=int)
+        else:
+            circuit.check_up_probabilities(p)
+            up_record, psi_down = run_circuit(
+                circuit, encode_up(p, qcfg.phases), psi_down,
+                potentials[w * stride:(w + 1) * stride], traj.params, dt, qcfg.gate_pair,
             )
-            continue
-        circuit.check_up_probabilities(p)
-        psi_up = encode_up(p, qcfg.phases)
-        up_record = psi_up
-        for s in range(stride):
-            v_now = float(traj.v[w * stride + s, qcfg.potential_neuron])
-            if qcfg.gate_pair is not None:
-                psi_up = gate_up(psi_up, v_now, params.v_thres, qcfg.gate_pair)
-            if circuit.coupling is None:
-                drive = psi_up
-            else:
-                drive = QuantumState.from_amplitudes(
-                    circuit.coupling @ psi_up.amplitudes,
-                    psi_down.basis_labels,
-                    normalize=True,
-                )
-            psi_down = evolve_down(psi_down, drive, v_now, params, circuit.drive_scale, dt)
-            if circuit.mode == "bidirectional":
-                up_record, psi_down = bidirectional_step(
-                    circuit, psi_up, psi_down, v_now, params, dt
-                )
-            else:
-                up_record = psi_up
-        meas_state = psi_down
-        for link in circuit.shutdown_links:
-            meas_state = shutdown_link(meas_state, link)
-        if qcfg.tags is not None and qcfg.blocked_tags:
-            meas_state = gate_by_tag(
-                TaggedState(meas_state, qcfg.tags), qcfg.blocked_tags
-            ).state
-        counts_by_label = measure(
-            meas_state, qcfg.shots, window_measure_seed(master_seed, w)
-        )
-        counts = np.array([counts_by_label[l] for l in meas_state.basis_labels])
+            up_probs = up_record.probabilities()
+            counts = readout(
+                circuit, psi_down, qcfg.shots, window_measure_seed(master_seed, w),
+                qcfg.tags, qcfg.blocked_tags,
+            )
         records.append(
             WindowRecord(
                 index=w,
-                t_start_ms=t_start,
+                t_start_ms=w * qcfg.window_ms,
                 prob_sum_up=prob_sum,
-                degenerate=False,
-                up_probs=up_record.probabilities(),
+                degenerate=prob_sum == 0.0,
+                up_probs=up_probs,
                 down_probs=psi_down.probabilities(),
                 counts=counts,
                 down_amplitudes=np.array(psi_down.amplitudes),
@@ -232,12 +189,35 @@ def write_quantum_csv(records: list[WindowRecord], up_dim: int, down_dim: int, p
             ]))
 
 
-def write_calibration_csv(report: CalibrationReport, path: Path) -> None:
+_KV_FORMAT = {"float": _f, "count": str, "flag": lambda x: str(int(x))}
+
+
+def kv_rows(report) -> list[tuple[str, str]]:
+    """Flat key/value rows of a report, each formatted by its declared kind.
+
+    ``report.kv_fields()`` yields (key, kind, value): "float" is written with
+    ``_f``, "floats" as one ``key_k`` row per element, "count" through
+    ``str`` and "flag" as 0/1.
+    """
+    rows: list[tuple[str, str]] = []
+    for key, kind, value in report.kv_fields():
+        if kind == "floats":
+            rows.extend((f"{key}_{k}", _f(x)) for k, x in enumerate(value))
+        else:
+            rows.append((key, _KV_FORMAT[kind](value)))
+    return rows
+
+
+def write_kv_csv(report, path: Path) -> None:
+    """Write a report's ``kv_rows`` under a ``key,value`` header."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        for key, value in report.to_kv_rows():
-            writer.writerow([key, value])
+        fh.write(_csv_line(["key", "value"]))
+        for row in kv_rows(report):
+            fh.write(_csv_line(row))
+
+
+# the names the CLI, the runner and perfbench/spans.py call the writer by
+write_calibration_csv = write_fusion_csv = write_kv_csv
 
 
 def resolve_out_dir(configured: str, override: str | None = None) -> Path:
@@ -359,19 +339,17 @@ class FusionReport:
     shots: int
     degenerate: bool = False
 
-    def to_kv_rows(self) -> list[tuple[str, str]]:
-        rows: list[tuple[str, str]] = []
-        for k, v in enumerate(self.fused):
-            rows.append((f"fused_{k}", _f(v)))
-        for k, v in enumerate(self.reference):
-            rows.append((f"reference_{k}", _f(v)))
-        for k, v in enumerate(self.crossing_estimates):
-            rows.append((f"crossing_estimate_{k}", _f(v)))
-        rows.append(("tv_distance", _f(self.tv_distance)))
-        rows.append(("windows", str(self.windows)))
-        rows.append(("shots", str(self.shots)))
-        rows.append(("degenerate", str(int(self.degenerate))))
-        return rows
+    def kv_fields(self) -> list[tuple[str, str, object]]:
+        """(key, kind, value) per CSV field, in file order; see ``kv_rows``."""
+        return [
+            ("fused", "floats", self.fused),
+            ("reference", "floats", self.reference),
+            ("crossing_estimate", "floats", self.crossing_estimates),
+            ("tv_distance", "float", self.tv_distance),
+            ("windows", "count", self.windows),
+            ("shots", "count", self.shots),
+            ("degenerate", "flag", self.degenerate),
+        ]
 
 
 def run_fusion_demo(
@@ -428,40 +406,21 @@ def run_fusion_demo(
 
     truths = np.array([p for p, _ in scenario.sensors])
     ref_raw = weights * truths
-    if weighted.sum() == 0.0 or ref_raw.sum() == 0.0:
-        dim = n_sensors
-        return FusionReport(
-            fused=np.zeros(dim),
-            reference=np.zeros(dim),
-            tv_distance=1.0,
-            crossing_estimates=p_hat,
-            weighted=weighted,
-            windows=n_windows,
-            shots=shots,
-            degenerate=True,
-        )
-
-    psi_up = encode_up(weighted)
-    psi_down = settle_circuit(circuit, psi_up, settle_ms, 0.1, params)
-    for link in circuit.shutdown_links:
-        psi_down = shutdown_link(psi_down, link)
-    counts = measure(psi_down, shots, fusion_measure_seed(seed))
-    fused = np.array([counts[l] for l in psi_down.basis_labels]) / shots
-    reference = ref_raw / ref_raw.sum()
+    degenerate = bool(weighted.sum() == 0.0 or ref_raw.sum() == 0.0)
+    if degenerate:
+        fused, reference, tv = np.zeros(n_sensors), np.zeros(n_sensors), 1.0
+    else:
+        psi_down = settle_circuit(circuit, encode_up(weighted), settle_ms, 0.1, params)
+        fused = readout(circuit, psi_down, shots, fusion_measure_seed(seed)) / shots
+        reference = ref_raw / ref_raw.sum()
+        tv = total_variation(fused, reference)
     return FusionReport(
         fused=fused,
         reference=reference,
-        tv_distance=total_variation(fused, reference),
+        tv_distance=tv,
         crossing_estimates=p_hat,
         weighted=weighted,
         windows=n_windows,
         shots=shots,
+        degenerate=degenerate,
     )
-
-
-def write_fusion_csv(report: FusionReport, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        for key, value in report.to_kv_rows():
-            writer.writerow([key, value])

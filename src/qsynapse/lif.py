@@ -71,25 +71,6 @@ class LifParams:
         return self.cm / self.g_leak
 
 
-@dataclass
-class NeuronState:
-    """Evolving state of a single neuron."""
-
-    v: float
-    gs: np.ndarray                       # per-upstream-link conductance
-    last_reset_time: float = -math.inf   # ms; -inf until the first reset
-    spike_count: int = 0
-
-    def validate(self, params: LifParams) -> None:
-        if not math.isfinite(self.v):
-            raise ValueError(f"non-finite membrane potential {self.v}")
-        gs = np.asarray(self.gs, dtype=float)
-        if gs.ndim != 1:
-            raise ValueError("gs must be a 1-d conductance vector")
-        if (gs < 0).any() or (gs > params.gs_max).any():
-            raise ValueError(f"gs outside [0, {params.gs_max}]: {gs}")
-
-
 @dataclass(frozen=True)
 class NetworkTopology:
     """Wiring of a network: inbound links per neuron plus gap junctions.
@@ -273,110 +254,6 @@ def _advance(
     return v1, gs1, crossed
 
 
-def step_neuron(
-    state: NeuronState,
-    params: LifParams,
-    drive: float,
-    neighbor_potentials: Sequence[tuple[float, float]],
-    spikes_now: Sequence[float],
-    dt: float,
-    *,
-    t: float = 0.0,
-    integrator: str = "rk4",
-) -> NeuronState:
-    """Advance a single neuron one step of ``dt`` ms.
-
-    ``neighbor_potentials`` holds (potential, conductance) pairs for coupled
-    neighbours, frozen for the whole step; ``spikes_now`` is the per-link
-    spike count arriving at the step boundary.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    spikes = np.asarray(spikes_now, dtype=float)
-    gs = np.asarray(state.gs, dtype=float)
-    if spikes.shape != gs.shape:
-        raise ValueError("spikes_now length must match the per-link gs vector")
-    gap_const = 0.0
-    gap_g = 0.0
-    for vk, g in neighbor_potentials:
-        gap_const += g * vk
-        gap_g += g
-    owner = np.zeros(gs.shape[0], dtype=np.intp)
-    v1, gs1, crossed = _advance(
-        np.array([state.v]),
-        gs,
-        owner,
-        np.array([float(gs.shape[0])]),
-        params,
-        np.array([float(drive)]),
-        spikes,
-        np.array([gap_const]),
-        np.array([gap_g]),
-        dt,
-        t,
-        integrator,
-    )
-    fired = bool(crossed[0])
-    return NeuronState(
-        v=float(v1[0]),
-        gs=gs1,
-        last_reset_time=t if fired else state.last_reset_time,
-        spike_count=state.spike_count + int(fired),
-    )
-
-
-def step_network(
-    states: Sequence[NeuronState],
-    topology: NetworkTopology,
-    params: LifParams,
-    spike_inputs: Sequence[float],
-    dt: float,
-    *,
-    drives: Sequence[float] | None = None,
-    t: float = 0.0,
-    integrator: str = "rk4",
-) -> tuple[list[NeuronState], list[tuple[int, float]]]:
-    """Advance every neuron one synchronous step; returns (states, events).
-
-    ``spike_inputs`` is indexed by global link id.  Output events carry
-    (neuron id, step start time).
-    """
-    if len(states) != topology.neuron_count:
-        raise ValueError("states length must match topology.neuron_count")
-    v = np.array([s.v for s in states])
-    gs = np.concatenate([np.zeros(0)] + [np.asarray(s.gs, dtype=float) for s in states])
-    # per-neuron gs vectors are stored against that neuron's link-id order
-    order = np.concatenate(
-        [np.zeros(0, dtype=np.intp)]
-        + [np.asarray(links, dtype=np.intp) for links in topology.upstream_links]
-    )
-    gs_global = np.empty(topology.n_links)
-    gs_global[order] = gs
-    spikes = np.asarray(spike_inputs, dtype=float)
-    if spikes.shape[0] != topology.n_links:
-        raise ValueError("spike_inputs length must equal the number of links")
-    dr = np.zeros(topology.neuron_count) if drives is None else np.asarray(drives, dtype=float)
-    v1, gs1, crossed = _advance(
-        v, gs_global, topology.link_owner, topology.links_per_neuron, params,
-        dr, spikes, topology.gap_input(v), topology.gap_conductance_sum, dt, t, integrator,
-    )
-    new_states = []
-    events = []
-    for i, s in enumerate(states):
-        fired = bool(crossed[i])
-        new_states.append(
-            NeuronState(
-                v=float(v1[i]),
-                gs=gs1[list(topology.upstream_links[i])],
-                last_reset_time=t if fired else s.last_reset_time,
-                spike_count=s.spike_count + int(fired),
-            )
-        )
-        if fired:
-            events.append((i, t))
-    return new_states, events
-
-
 @dataclass
 class Trajectory:
     """Recorded run: potentials, conductances and spike events per step.
@@ -506,19 +383,10 @@ def measure_firing_probability(traj: Trajectory, window_ms: float, neuron: int) 
     """Fraction of non-overlapping windows with at least one crossing."""
     if window_ms <= 0:
         raise ValueError("window_ms must be > 0")
-    if traj.times.size <= 1:
-        raise ValueError("empty trajectory")
-    n_windows = _window_count(traj.duration_ms, window_ms)
-    if n_windows < 1:
-        raise ValueError("trajectory shorter than one window")
+    crossed = window_crossings(traj, window_ms)
     if not 0 <= neuron < traj.topology.neuron_count:
         raise ValueError(f"unknown neuron {neuron}")
-    mask = traj.spike_neurons == neuron
-    if not mask.any():
-        return 0.0
-    w_idx = np.floor(traj.spike_times[mask] / window_ms).astype(np.intp)
-    w_idx = w_idx[w_idx < n_windows]
-    return float(np.unique(w_idx).size / n_windows)
+    return float(np.count_nonzero(crossed[:, neuron]) / crossed.shape[0])
 
 
 def window_crossings(traj: Trajectory, window_ms: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from .engine import load_operator_text
 from .errors import ConfigError
 from .lif import INTEGRATORS, LifParams, NetworkTopology
 from .spikes import RateProfile
-from .synapse import CompositionTable, SynapseCircuit, load_composition_table
+from .synapse import SynapseCircuit, load_composition_table
 
 _LIF_KEYS = {
     "cm", "g_leak", "v_rest", "v_thres", "v_init", "e_syn", "tau_syn",
@@ -106,7 +106,6 @@ class QuantumRunConfig:
     phases: tuple[float, ...] | None
     tags: tuple[str, ...] | None
     blocked_tags: tuple[str, ...]
-    color_table: CompositionTable | None
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,7 @@ class FusionConfig:
     dt_ms: float
     shots: int
     settle_ms: float
-    shutdown_links: tuple[int, ...]
+    circuit: SynapseCircuit
 
 
 @dataclass(frozen=True)
@@ -376,7 +375,6 @@ def _parse_quantum(block: dict, topology: NetworkTopology, dt_ms: float,
         phases=phases,
         tags=tags,
         blocked_tags=blocked,
-        color_table=color_table,
     )
 
 
@@ -440,13 +438,18 @@ def _parse_fusion(block: dict) -> FusionConfig:
         _integer(l, f"fusion.shutdown_links[{i}]", minimum=0)
         for i, l in enumerate(block.get("shutdown_links", []))
     )
+    n = len(sensors)
+    try:
+        circuit = SynapseCircuit(up_dim=n, down_dim=n, shutdown_links=shutdowns)
+    except ValueError as err:
+        raise ConfigError(f"fusion: {err}") from err
     return FusionConfig(
         scenario=scenario,
         window_ms=_number(block.get("window_ms", 5.0), "fusion.window_ms", strict_min=0.0),
         dt_ms=_number(block.get("dt_ms", 0.25), "fusion.dt_ms", strict_min=0.0),
         shots=_integer(block.get("shots", 100_000), "fusion.shots", minimum=1),
         settle_ms=_number(block.get("settle_ms", 30.0), "fusion.settle_ms", strict_min=0.0),
-        shutdown_links=shutdowns,
+        circuit=circuit,
     )
 
 

@@ -133,11 +133,6 @@ def load_composition_table(path: str | Path) -> CompositionTable:
     return CompositionTable(elems, prods)
 
 
-def compose_tags(a: str, b: str, table: CompositionTable) -> str:
-    """Table lookup; total and deterministic."""
-    return table.compose(a, b)
-
-
 @dataclass(frozen=True)
 class TaggedState:
     """Quantum state with one color tag per basis component."""
@@ -189,7 +184,8 @@ class SynapseCircuit:
     is verified at construction.  ``b_weights`` weight the combined upstream
     state into the next downstream state; when derived from downstream
     threshold probabilities their squared magnitudes equal those
-    probabilities.
+    probabilities.  ``shutdown_links`` are zeroed before every measurement
+    and must leave at least one downstream link live.
     """
 
     up_dim: int
@@ -243,10 +239,16 @@ class SynapseCircuit:
                         ConstraintViolationWarning,
                         stacklevel=2,
                     )
-        for link in self.shutdown_links:
+        shut = tuple(self.shutdown_links)
+        for link in shut:
             if not 0 <= link < self.down_dim:
-                raise ValueError(f"shutdown link {link} out of range")
-        object.__setattr__(self, "shutdown_links", tuple(self.shutdown_links))
+                raise ValueError(
+                    f"shutdown_links {list(shut)}: link {link} out of range for "
+                    f"{self.down_dim} downstream links"
+                )
+        if set(shut) >= set(range(self.down_dim)):
+            raise ValueError(f"shutdown_links {list(shut)} cover every downstream link")
+        object.__setattr__(self, "shutdown_links", shut)
 
     def check_up_probabilities(self, probabilities: Sequence[float]) -> None:
         """Warn (never raise) when the upstream probability sum exceeds its bound."""
@@ -303,6 +305,39 @@ def _drive_delta(
     return delta
 
 
+def _combine(base: np.ndarray, contribution: np.ndarray, stage: str) -> np.ndarray:
+    """base + contribution, renormalized; ``base`` itself when the contribution is zero."""
+    if not contribution.any():
+        return base
+    out = base + contribution
+    n2 = float(np.sum(out.real**2 + out.imag**2))
+    if n2 == 0.0:
+        raise DegenerateStateError(f"{stage} collapsed to the zero state")
+    return out / np.sqrt(n2)
+
+
+def _euler_step(
+    state: np.ndarray, drive: np.ndarray, v_now: float, params: LifParams,
+    drive_scale: float, dt: float, stage: str = "downstream evolution step",
+) -> np.ndarray:
+    """One renormalized Euler step of ``state``; ``state`` itself when the step is zero."""
+    return _combine(state, _drive_delta(drive, v_now, params, drive_scale, dt), stage)
+
+
+def _round_trip(
+    circuit: SynapseCircuit, up: np.ndarray, down: np.ndarray, v_now: float,
+    params: LifParams, dt: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feedback mix, upstream drive step, downstream combination (see bidirectional_step)."""
+    if circuit.k_operator is not None:
+        up = _combine(up, circuit.k_operator.entries @ down, "feedback mix")
+    up = _euler_step(up, down, v_now, params, circuit.drive_scale, dt, "upstream drive step")
+    if circuit.b_weights is None:
+        return up, down
+    coupled = up if circuit.coupling is None else circuit.coupling @ up
+    return up, _combine(down, circuit.b_weights * coupled, "downstream combination")
+
+
 def evolve_down(
     psi_down: QuantumState,
     psi_up: QuantumState | None,
@@ -329,26 +364,18 @@ def evolve_down(
                 "upstream state through the coupling first"
             )
         drive = psi_up.amplitudes
-    delta = _drive_delta(drive, v_now, params, drive_scale, dt)
-    if not delta.any():
+    out = _euler_step(psi_down.amplitudes, drive, v_now, params, drive_scale, dt)
+    if out is psi_down.amplitudes:
         return psi_down
-    out = psi_down.amplitudes + delta
-    try:
-        out = normalized_amplitudes(out)
-    except DegenerateStateError as err:
-        raise DegenerateStateError(f"downstream evolution step collapsed: {err}") from err
     return QuantumState(out, psi_down.basis_labels)
 
 
-def _combine(base: np.ndarray, contribution: np.ndarray, stage: str) -> np.ndarray | None:
-    """base + contribution, renormalized; None signals a bitwise no-op."""
-    if not contribution.any():
-        return None
-    out = base + contribution
-    n2 = float(np.sum(out.real**2 + out.imag**2))
-    if n2 == 0.0:
-        raise DegenerateStateError(f"{stage} collapsed to the zero state")
-    return out / np.sqrt(n2)
+def _check_circuit_states(circuit: SynapseCircuit, psi_up: QuantumState,
+                          psi_down: QuantumState, dt: float) -> None:
+    if psi_up.dim != circuit.up_dim or psi_down.dim != circuit.down_dim:
+        raise ValueError("state dimensions do not match the circuit")
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
 
 
 def bidirectional_step(
@@ -365,36 +392,62 @@ def bidirectional_step(
     collapses: the feedback mix adds K applied to the downstream state into
     the upstream one; the upstream drive step advances that mix one Euler
     step driven by the downstream state; the downstream combination adds the
-    weighted, coupled upstream result back onto the downstream state.
+    weighted, coupled upstream result back onto the downstream state.  A
+    stage whose contribution is exactly zero is skipped bitwise.
     """
     if circuit.mode != "bidirectional":
         raise ValueError("circuit is not bidirectional")
-    if psi_up.dim != circuit.up_dim or psi_down.dim != circuit.down_dim:
-        raise ValueError("state dimensions do not match the circuit")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-
-    if circuit.k_operator is None:
-        feedback = np.zeros(circuit.up_dim, dtype=complex)
-    else:
-        feedback = circuit.k_operator.entries @ psi_down.amplitudes
-    mixed = _combine(psi_up.amplitudes, feedback, "feedback mix")
-    up2 = psi_up.amplitudes if mixed is None else mixed
-
-    delta = _drive_delta(psi_down.amplitudes, v_now, params, circuit.drive_scale, dt)
-    stepped = _combine(up2, delta, "upstream drive step")
-    up2 = up2 if stepped is None else stepped
-    psi_up2 = QuantumState(up2, psi_up.basis_labels)
-
-    coupled = up2 if circuit.coupling is None else circuit.coupling @ up2
-    if circuit.b_weights is None:
-        weighted = np.zeros(circuit.down_dim, dtype=complex)
-    else:
-        weighted = circuit.b_weights * coupled
-    combined = _combine(psi_down.amplitudes, weighted, "downstream combination")
-    if combined is None:
+    _check_circuit_states(circuit, psi_up, psi_down, dt)
+    up, down = _round_trip(circuit, psi_up.amplitudes, psi_down.amplitudes, v_now, params, dt)
+    psi_up2 = QuantumState(up, psi_up.basis_labels)
+    if down is psi_down.amplitudes:
         return psi_up2, psi_down
-    return psi_up2, QuantumState(combined, psi_down.basis_labels)
+    return psi_up2, QuantumState(down, psi_down.basis_labels)
+
+
+def run_circuit(
+    circuit: SynapseCircuit,
+    psi_up: QuantumState,
+    psi_down: QuantumState,
+    potentials: Sequence[float],
+    params: LifParams,
+    dt: float,
+    gate_pair: tuple[int, int] | None = None,
+) -> tuple[QuantumState, QuantumState]:
+    """Step the circuit once per membrane potential; returns (up_record, psi_down).
+
+    Each step swaps ``gate_pair`` of the upstream state when the potential
+    is above threshold (the swap persists), drives the downstream state with
+    the coupled, normalized upstream state for one Euler step, and in
+    bidirectional mode runs the feedback round trip.  ``up_record`` is the
+    round trip's combined upstream state, or the gated encoding in one-way
+    mode; the next step keeps the gated encoding either way.  The loop runs
+    on raw amplitude arrays: states are validated at entry and exit only.
+    """
+    _check_circuit_states(circuit, psi_up, psi_down, dt)
+    if circuit.coupling is None and circuit.up_dim != circuit.down_dim:
+        raise ValueError("a circuit without coupling needs equal dimensions")
+    if gate_pair is not None:
+        i, j = gate_pair
+        if i == j or not (0 <= i < circuit.up_dim and 0 <= j < circuit.up_dim):
+            raise ValueError(f"gate_pair {gate_pair} invalid for dimension {circuit.up_dim}")
+    bidirectional = circuit.mode == "bidirectional"
+    up = record = psi_up.amplitudes
+    down = psi_down.amplitudes
+    for v_now in np.asarray(potentials, dtype=float).tolist():
+        if gate_pair is not None and v_now > params.v_thres:
+            up = up.copy()
+            up[i], up[j] = up[j], up[i]
+        drive = up if circuit.coupling is None else normalized_amplitudes(circuit.coupling @ up)
+        down = _euler_step(down, drive, v_now, params, circuit.drive_scale, dt)
+        if bidirectional:
+            record, down = _round_trip(circuit, up, down, v_now, params, dt)
+        else:
+            record = up
+    return (
+        QuantumState(record, psi_up.basis_labels),
+        QuantumState(down, psi_down.basis_labels),
+    )
 
 
 def shutdown_link(state: QuantumState, link: int) -> QuantumState:

@@ -27,7 +27,6 @@ from qsynapse import (
     bidirectional_step,
     calibrate,
     cnot_matrix,
-    compose_tags,
     default_composition_table,
     encode_up,
     evolve_down,
@@ -204,7 +203,7 @@ def test_07_bidirectional_reduction_bitwise():
         return QuantumRunConfig(
             circuit=circuit, window_ms=5.0, shots=1000,
             encode_neurons=(0, 1), potential_neuron=0, gate_pair=(0, 1),
-            phases=None, tags=None, blocked_tags=(), color_table=None,
+            phases=None, tags=None, blocked_tags=(),
         )
 
     uni = run_quantum_windows(traj, qcfg(SynapseCircuit(2, 2)), 77)
@@ -269,15 +268,15 @@ def test_09_shutdown_exactness():
 def test_10_colored_algebra_decidability():
     table = default_composition_table()
     for a in table.elements:
-        assert compose_tags("neutral", a, table) == a
-        assert compose_tags(a, "neutral", table) == a
-        assert compose_tags("block", a, table) == "block"
-        assert compose_tags(a, "block", table) == "block"
+        assert table.compose("neutral", a) == a
+        assert table.compose(a, "neutral") == a
+        assert table.compose("block", a) == "block"
+        assert table.compose(a, "block") == "block"
         for b in table.elements:
             for c in table.elements:
                 assert (
-                    compose_tags(compose_tags(a, b, table), c, table)
-                    == compose_tags(a, compose_tags(b, c, table), table)
+                    table.compose(table.compose(a, b), c)
+                    == table.compose(a, table.compose(b, c))
                 )
     rng = np.random.default_rng(1010)
     for _ in range(100):

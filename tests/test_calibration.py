@@ -12,6 +12,7 @@ from qsynapse import (
     ks_statistic,
     total_variation,
 )
+from qsynapse.harness import kv_rows
 
 
 def synth_trajectory(crossed: np.ndarray, window_ms: float) -> Trajectory:
@@ -150,7 +151,7 @@ class TestCalibrate:
     def test_report_kv_rows_round_trip(self):
         traj = synth_trajectory(np.ones((120, 1), dtype=bool), 5.0)
         report = calibrate(traj, self._circuit(1), 5.0, 10_000, seeds=(1, 2))
-        rows = dict(report.to_kv_rows())
+        rows = dict(kv_rows(report))
         assert rows["passed"] == "1"
         assert float(rows["tv_distance"]) == 0.0
         assert rows["windows"] == "120"

@@ -108,3 +108,31 @@ def test_runtime_error_exit_code(tmp_path):
 def test_version(capsys):
     assert main(["version"]) == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+def _fusion_block(shutdown_links):
+    return {
+        "sensors": [{"p": 0.5, "weight": 1.0}, {"p": 0.6, "weight": 1.0},
+                    {"p": 0.7, "weight": 1.0}],
+        "n_events": 20,
+        "shutdown_links": shutdown_links,
+    }
+
+
+def test_validate_rejects_fusion_shutdowns_that_fuse_cannot_run(tmp_path, capsys):
+    for links, reason in (([5], "out of range"), ([0, 1, 2], "every downstream link")):
+        path = good_config(tmp_path, fusion=_fusion_block(links))
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "fusion: shutdown_links" in err and reason in err
+        assert main(["fuse", "--config", str(path), "--out", str(tmp_path / "f")]) == 1
+
+
+def test_validate_rejects_quantum_shutdown_of_every_link(tmp_path, capsys):
+    path = good_config(
+        tmp_path,
+        topology={"neuron_count": 2, "upstream_links": [[0], [1]]},
+        quantum={"enabled": True, "window_ms": 5.0, "shots": 10, "shutdown_links": [1, 0]},
+    )
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "quantum: shutdown_links [1, 0] cover every downstream link" in capsys.readouterr().err

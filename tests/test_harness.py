@@ -22,10 +22,15 @@ from qsynapse import (
     run_scenario,
     simulate_network,
 )
+from qsynapse.cli import main
+from qsynapse.calibration import CalibrationReport
 from qsynapse.harness import (
+    FusionReport,
     WindowRecord,
     resolve_out_dir,
     run_quantum_windows,
+    write_calibration_csv,
+    write_fusion_csv,
     write_quantum_csv,
     write_trace_csv,
 )
@@ -216,7 +221,6 @@ def make_qcfg(circuit, window_ms=5.0, shots=400, gate_pair=(0, 1)):
         phases=None,
         tags=None,
         blocked_tags=(),
-        color_table=None,
     )
 
 
@@ -286,7 +290,6 @@ class TestQuantumWindows:
             circuit=circuit, window_ms=5.0, shots=2000,
             encode_neurons=(0, 1), potential_neuron=0, gate_pair=(0, 1),
             phases=None, tags=("excite", "inhibit"), blocked_tags=("inhibit",),
-            color_table=None,
         )
         records = run_quantum_windows(traj, qcfg, 42)
         for rec in records:
@@ -362,6 +365,11 @@ class TestGoldenScenario:
                 f"{name} drifted from the golden reference; if the trace format "
                 "changed intentionally, bump TRACE_FORMAT_VERSION and regenerate"
             )
+
+    def test_fusion_matches_checked_in_golden_bytes(self, tmp_path):
+        config = self.GOLDEN / "fusion_scenario.json"
+        assert main(["fuse", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+        assert (tmp_path / "fusion.csv").read_bytes() == (self.GOLDEN / "fusion.csv").read_bytes()
 
 
 class TestFileBackedCircuitInputs:
@@ -508,3 +516,31 @@ class TestCsvWriterBytes:
         got = (tmp_path / "quantum.csv").read_bytes()
         assert got == self.reference(tmp_path / "ref.csv", header, rows)
         assert got.splitlines()[1] == b"0,0.0,0.0,1,0.0,0.0," + b",".join([repr(1 / 3).encode()] * 3) + b",0,0,0"
+
+    def test_key_value_csv(self, tmp_path):
+        calibration = CalibrationReport(
+            classical_probs=np.zeros(2), quantum_freqs=np.zeros(2), tv_distance=1.0,
+            ks_stat=1.0, windows=120, shots=10_000, epsilon=1, passed=False,
+            degenerate=True, seeds=(np.int64(3), np.uint64(2**64 - 1)),
+        )
+        cal_rows = [["classical_p_0", "0.0"], ["classical_p_1", "0.0"],
+                    ["quantum_freq_0", "0.0"], ["quantum_freq_1", "0.0"],
+                    ["tv_distance", "1.0"], ["ks_statistic", "1.0"], ["windows", "120"],
+                    ["shots", "10000"], ["epsilon", "1.0"], ["seed_classical", "3"],
+                    ["seed_quantum", str(2**64 - 1)], ["degenerate", "1"], ["passed", "0"]]
+        fusion = FusionReport(
+            fused=np.zeros(3), reference=np.zeros(3), tv_distance=1,
+            crossing_estimates=np.array(self.ODD[:3]), weighted=np.zeros(3),
+            windows=np.int64(50), shots=20_000, degenerate=True,
+        )
+        fus_rows = ([[f"fused_{k}", "0.0"] for k in range(3)]
+                    + [[f"reference_{k}", "0.0"] for k in range(3)]
+                    + [[f"crossing_estimate_{k}", repr(float(x))]
+                       for k, x in enumerate(self.ODD[:3])]
+                    + [["tv_distance", "1.0"], ["windows", "50"], ["shots", "20000"],
+                       ["degenerate", "1"]])
+        for write, report, rows in ((write_calibration_csv, calibration, cal_rows),
+                                    (write_fusion_csv, fusion, fus_rows)):
+            write(report, tmp_path / "kv.csv")
+            got = (tmp_path / "kv.csv").read_bytes()
+            assert got == self.reference(tmp_path / "ref.csv", ["key", "value"], rows)

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 from qsynapse import (
     LifParams,
     NetworkTopology,
-    NeuronState,
     NumericalDivergenceError,
     decay_conductance,
     measure_firing_probability,
     simulate_network,
-    step_network,
-    step_neuron,
 )
 from qsynapse.lif import _advance, bin_spike_events, window_crossings
 
@@ -76,12 +73,20 @@ class TestDecayConductance:
             decay_conductance(1.0, 5.0, 0.0)
 
 
+def run_single(params, t_end, dt, events=(), n_links=1, v_init=None):
+    """One neuron with ``n_links`` inbound links, run through simulate_network."""
+    topo = NetworkTopology.build(1, [list(range(n_links))])
+    return simulate_network(params, topo, events, t_end, dt,
+                            v_init=None if v_init is None else [v_init])
+
+
 class TestStepNeuron:
+    """Single-neuron step dynamics."""
+
     def test_rest_is_fixed_point(self):
         p = DEFAULT_PARAMS
-        state = NeuronState(v=p.v_rest, gs=np.zeros(0))
-        out = step_neuron(state, p, 0.0, [], [], dt=0.1)
-        assert out.v == p.v_rest
+        traj = run_single(p, 0.1, 0.1, n_links=0, v_init=p.v_rest)
+        assert traj.v[1, 0] == p.v_rest
 
     def test_relaxation_matches_analytic_and_euler_oracle(self):
         # establish the closed form against brute-force Euler first
@@ -93,69 +98,60 @@ class TestStepNeuron:
         assert abs(ref[-1] - analytic) < 1e-3
         assert analytic == pytest.approx(-67.09091638, abs=1e-6)
 
-        state = NeuronState(v=p.v_init, gs=np.zeros(0))
         dt = 0.01
         n = int(round(t_check / dt))
-        for i in range(n):
-            state = step_neuron(state, p, 0.0, [], [], dt, t=i * dt)
-        assert state.v == pytest.approx(p.v_rest + (p.v_init - p.v_rest) * math.exp(-n * dt / tau), abs=1e-9)
+        traj = run_single(p, n * dt, dt, n_links=0)
+        assert traj.n_steps == n
+        assert traj.v[-1, 0] == pytest.approx(
+            p.v_rest + (p.v_init - p.v_rest) * math.exp(-n * dt / tau), abs=1e-9
+        )
 
     def test_single_spike_jump_then_monotone_decay(self):
         # pure potential jump: delta_g = 0 isolates the spike_jump semantics
         p = LifParams(v_init=-65.0, delta_g=0.0)
-        state = NeuronState(v=-65.0, gs=np.zeros(1))
-        state = step_neuron(state, p, 0.0, [], [1], dt=0.01)
+        traj = run_single(p, 20.0, 0.01, events=[(0.0, 0)])
+        vs = traj.v[1:, 0]
         # jumped by 5 then started decaying back toward rest
-        assert -60.01 < state.v < -60.0
+        assert -60.01 < vs[0] < -60.0
         ref = euler_reference(LifParams(v_init=-60.0), 20.0, 1e-4)
-        vs = [state.v]
-        for i in range(1, 2000):
-            state = step_neuron(state, p, 0.0, [], [0], dt=0.01, t=i * 0.01)
-            vs.append(state.v)
-        vs = np.array(vs)
         assert (np.diff(vs) < 0).all()
-        assert state.spike_count == 0  # never crossed -50
+        assert traj.spike_times.size == 0  # never crossed -50
         # decay envelope agrees with the fine-step reference
         assert abs(vs[-1] - ref[-1]) < 1e-3
 
     def test_spike_bumps_conductance_and_clamps(self):
         p = LifParams(gs_max=0.015, delta_g=0.01)
-        state = NeuronState(v=p.v_rest, gs=np.array([0.01]))
-        out = step_neuron(state, p, 0.0, [], [1], dt=0.001)
-        assert out.gs[0] <= p.gs_max
+        # the second spike lifts gs from 0.01 * decay to above gs_max
+        traj = run_single(p, 0.003, 0.001, events=[(0.0, 0), (0.0015, 0)])
+        assert (traj.gs <= p.gs_max).all()
+        assert traj.gs[2, 0] == pytest.approx(p.gs_max * math.exp(-0.001 / p.tau_syn), rel=1e-12)
 
     def test_threshold_reset_and_count(self):
-        p = LifParams(spike_jump=20.0)  # 20 > v_thres - v_rest = 15
-        state = NeuronState(v=p.v_rest, gs=np.array([0.0]))
-        out = step_neuron(state, p, 0.0, [], [1], dt=0.1, t=3.0)
-        assert out.v == p.v_rest
-        assert out.spike_count == 1
-        assert out.last_reset_time == 3.0
+        p = LifParams(spike_jump=20.0, v_init=-65.0)  # 20 > v_thres - v_rest = 15
+        traj = run_single(p, 5.0, 0.5, events=[(3.0, 0)])
+        assert traj.v[7, 0] == p.v_rest  # the state after the step starting at 3.0
+        assert traj.spike_times.tolist() == [3.0]
+        assert traj.spike_neurons.tolist() == [0]
 
     def test_divergence_error_names_neuron_and_time(self):
-        p = LifParams()
-        state = NeuronState(v=p.v_rest, gs=np.zeros(0))
-        with pytest.raises(NumericalDivergenceError, match="neuron 0 at t = 5.0"):
-            step_neuron(state, p, math.inf, [], [], dt=0.1, t=5.0)
+        p = LifParams(spike_jump=math.inf)
+        with pytest.raises(NumericalDivergenceError, match="neuron 0 at t = 5.0") as info:
+            run_single(p, 10.0, 0.5, events=[(5.0, 0)])
+        assert info.value.partial.n_steps == 10
 
 
 class TestStepNetwork:
     def test_decoupled_equals_independent_neurons(self):
         p = LifParams()
         topo = NetworkTopology.build(2, [[0], [1]])
-        states = [NeuronState(v=-70.0, gs=np.zeros(1)), NeuronState(v=-60.0, gs=np.zeros(1))]
-        singles = [NeuronState(v=-70.0, gs=np.zeros(1)), NeuronState(v=-60.0, gs=np.zeros(1))]
-        spikes = np.array([1.0, 0.0])
-        for i in range(50):
-            states, _ = step_network(states, topo, p, spikes, 0.05, t=i * 0.05)
-            singles = [
-                step_neuron(singles[j], p, 0.0, [], [spikes[j]], 0.05, t=i * 0.05)
-                for j in range(2)
-            ]
-            spikes = np.zeros(2)
+        events = [(0.0, 0)]
+        pair = simulate_network(p, topo, events, 2.5, 0.05, v_init=[-70.0, -60.0])
+        singles = [run_single(p, 2.5, 0.05, events=events, v_init=-70.0),
+                   run_single(p, 2.5, 0.05, v_init=-60.0)]
+        assert pair.n_steps == 50
         for j in range(2):
-            assert states[j].v == singles[j].v
-            assert np.array_equal(states[j].gs, singles[j].gs)
+            assert np.array_equal(pair.v[:, j], singles[j].v[:, 0])
+            assert np.array_equal(pair.gs[:, j], singles[j].gs[:, 0])
 
     def test_gap_junction_steady_state_coupling(self):
         # hold neuron 0 at a steady offset with constant drive; the induced
@@ -249,17 +245,13 @@ class TestIntegratorOrder:
 )
 def test_conductance_bound_property(schedule, delta_g):
     p = LifParams(gs_max=0.2, delta_g=delta_g)
-    topo = NetworkTopology.build(1, [[0, 1, 2]])
-    state = NeuronState(v=p.v_rest, gs=np.zeros(3))
-    by_step: dict[int, np.ndarray] = {}
-    for step, link, count in schedule:
-        by_step.setdefault(step, np.zeros(3))
-        by_step[step][link] += count
-    for i in range(50):
-        spikes = by_step.get(i, np.zeros(3))
-        state = step_neuron(state, p, 0.0, [], spikes, 0.2, t=i * 0.2)
-        assert (state.gs >= 0).all() and (state.gs <= p.gs_max).all()
-        assert state.v <= p.v_thres  # reset within the step
+    # mid-step times, so each spike bins into its scheduled step
+    events = sorted(((step + 0.5) * 0.2, link) for step, link, count in schedule
+                    for _ in range(count))
+    traj = run_single(p, 50 * 0.2, 0.2, events=events, n_links=3, v_init=p.v_rest)
+    assert traj.n_steps == 50
+    assert (traj.gs >= 0).all() and (traj.gs <= p.gs_max).all()
+    assert (traj.v <= p.v_thres).all()  # reset within the step
 
 
 class TestFiringProbability:
@@ -339,26 +331,6 @@ class TestConcurrentInstances:
             assert np.array_equal(a.gs, b.gs)
 
 
-class TestStateValidation:
-    def test_neuron_state_invariants(self):
-        p = LifParams(gs_max=0.2)
-        NeuronState(v=-65.0, gs=np.array([0.1])).validate(p)
-        with pytest.raises(ValueError, match="gs outside"):
-            NeuronState(v=-65.0, gs=np.array([0.3])).validate(p)
-        with pytest.raises(ValueError, match="non-finite"):
-            NeuronState(v=math.nan, gs=np.zeros(1)).validate(p)
-
-    def test_step_network_shape_errors(self):
-        p = LifParams()
-        topo = NetworkTopology.build(2, [[0], [1]])
-        states = [NeuronState(v=-65.0, gs=np.zeros(1))]
-        with pytest.raises(ValueError, match="states length"):
-            step_network(states, topo, p, [0, 0], 0.1)
-        states.append(NeuronState(v=-65.0, gs=np.zeros(1)))
-        with pytest.raises(ValueError, match="spike_inputs length"):
-            step_network(states, topo, p, [0], 0.1)
-
-
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -429,13 +401,3 @@ def test_gap_coupling_matches_pair_loop_bitwise(net):
     assert _same_bits(traj.gs, gs)
     assert _same_bits(traj.spike_times, np.array(ev_times))
     assert _same_bits(traj.spike_neurons, np.array(ev_neurons, dtype=np.intp))
-
-    counts = bin_spike_events(events, n_steps, topo.n_links, dt)
-    states = [NeuronState(v=p.v_init, gs=np.zeros(len(links))) for links in topo.upstream_links]
-    for i in range(n_steps):
-        t = float(traj.times[i])
-        states, fired = step_network(states, topo, p, counts[i], dt, drives=drives, t=t)
-        assert _same_bits(np.array([s.v for s in states]), traj.v[i + 1])
-        for s, links in zip(states, topo.upstream_links):
-            assert _same_bits(s.gs, traj.gs[i + 1][list(links)])
-        assert fired == [(int(k), t) for k in traj.spike_neurons[traj.spike_times == t]]

@@ -17,7 +17,6 @@ from qsynapse import (
     TaggedState,
     UnknownTagError,
     bidirectional_step,
-    compose_tags,
     default_composition_table,
     encode_up,
     evolve_down,
@@ -269,28 +268,28 @@ class TestCompositionTable:
         table = default_composition_table()
         assert table.identity == "neutral"
         for x in table.elements:
-            assert compose_tags("neutral", x, table) == x
-            assert compose_tags(x, "neutral", table) == x
+            assert table.compose("neutral", x) == x
+            assert table.compose(x, "neutral") == x
 
     def test_default_table_absorbing_block(self):
         table = default_composition_table()
         for x in table.elements:
-            assert compose_tags("block", x, table) == "block"
-            assert compose_tags(x, "block", table) == "block"
+            assert table.compose("block", x) == "block"
+            assert table.compose(x, "block") == "block"
 
     def test_default_table_associative_exhaustive(self):
         table = default_composition_table()
         for a in table.elements:
             for b in table.elements:
                 for c in table.elements:
-                    left = compose_tags(compose_tags(a, b, table), c, table)
-                    right = compose_tags(a, compose_tags(b, c, table), table)
+                    left = table.compose(table.compose(a, b), c)
+                    right = table.compose(a, table.compose(b, c))
                     assert left == right
 
     def test_unknown_tag_error(self):
         table = default_composition_table()
         with pytest.raises(UnknownTagError, match="purple"):
-            compose_tags("purple", "neutral", table)
+            table.compose("purple", "neutral")
 
     def test_rejects_non_associative(self):
         elems = ("e", "x", "y")
