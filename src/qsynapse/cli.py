@@ -10,6 +10,7 @@ the package version.  Exit codes: 0 success, 1 validation/usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -22,6 +23,8 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
+# built once: a parser is all reference cycles, and parse_args does not change it
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsynapse",

@@ -57,6 +57,13 @@ def _f(x: float) -> str:
     return repr(float(x))
 
 
+def _flat_json(fields: dict) -> str:
+    """``json.dumps(fields, indent=2, sort_keys=True) + "\\n"`` for scalar values, without
+    the reference cycles that the indenting encoder builds on every call."""
+    items = ",\n".join(f"  {json.dumps(k)}: {json.dumps(fields[k])}" for k in sorted(fields))
+    return "{\n" + items + "\n}\n"
+
+
 def window_measure_seed(master_seed: int, window: int) -> int:
     return ((master_seed ^ _MEASURE_SALT) + window) & _U64
 
@@ -155,7 +162,8 @@ def _csv_line(cells) -> str:
 def write_trace_csv(traj: Trajectory, path: Path) -> None:
     n = traj.topology.neuron_count
     m = traj.topology.n_links
-    indicator = traj.spike_indicator()
+    spikes = traj.spike_rows()
+    no_spikes = [0] * n
     with open(path, "w", newline="") as fh:
         fh.write(_csv_line(
             ["t_ms"]
@@ -168,7 +176,7 @@ def write_trace_csv(traj: Trajectory, path: Path) -> None:
                 _f(traj.times[row]),
                 *map(repr, traj.v[row].tolist()),
                 *map(repr, traj.gs[row].tolist()),
-                *map(str, indicator[row].tolist()),
+                *map(str, spikes.get(row, no_spikes)),
             ]))
 
 
@@ -317,7 +325,7 @@ def run_scenario(
         "integrator": config.integrator,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    (out / "meta.json").write_text(_flat_json(meta))
     return out
 
 

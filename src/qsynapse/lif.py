@@ -279,24 +279,24 @@ class Trajectory:
     def n_steps(self) -> int:
         return self.times.size - 1
 
-    def spike_indicator(self) -> np.ndarray:
-        """(n_steps+1, N) count of crossings recorded at each step start."""
-        ind = np.zeros(self.v.shape, dtype=np.int64)
-        if self.spike_times.size:
-            steps = np.rint(self.spike_times / self.dt_ms).astype(np.intp)
-            np.add.at(ind, (steps, self.spike_neurons.astype(np.intp)), 1)
-        return ind
+    def spike_rows(self) -> dict[int, list[int]]:
+        """Per-neuron crossing counts at each step start that has a crossing; others are absent."""
+        rows: dict[int, list[int]] = {}
+        steps = np.rint(self.spike_times / self.dt_ms).astype(np.intp)
+        for step, neuron in zip(steps.tolist(), self.spike_neurons.astype(np.intp).tolist()):
+            rows.setdefault(step, [0] * self.topology.neuron_count)[neuron] += 1
+        return rows
 
 
 def bin_spike_events(
     events: Iterable[tuple[float, int]], n_steps: int, n_links: int, dt: float
-) -> np.ndarray:
-    """Per-step, per-link spike counts from a merged (time, link) stream."""
-    counts = np.zeros((n_steps, n_links))
+) -> dict[int, np.ndarray]:
+    """Per-link spike counts of the steps that have spikes, from a merged (time, link) stream."""
+    counts: dict[int, np.ndarray] = {}
     for time_ms, link in events:
         step = int(time_ms // dt)
         if 0 <= step < n_steps:
-            counts[step, link] += 1.0
+            counts.setdefault(step, np.zeros(n_links))[link] += 1.0
     return counts
 
 
@@ -322,6 +322,7 @@ def simulate_network(
     n = topology.neuron_count
     m = topology.n_links
     counts = bin_spike_events(spike_events, n_steps, m, dt_ms)
+    no_spikes = np.zeros(m)
     dr = np.zeros(n) if drives is None else np.asarray(drives, dtype=float)
 
     v = np.full(n, params.v_init) if v_init is None else np.asarray(v_init, dtype=float).copy()
@@ -341,8 +342,8 @@ def simulate_network(
         t = float(times[i])
         try:
             v, gs, crossed = _advance(
-                v, gs, owner, n_links, params, dr, counts[i], topology.gap_input(v), gap_g,
-                dt_ms, t, integrator,
+                v, gs, owner, n_links, params, dr, counts.get(i, no_spikes),
+                topology.gap_input(v), gap_g, dt_ms, t, integrator,
             )
         except NumericalDivergenceError as err:
             err.partial = Trajectory(

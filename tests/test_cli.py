@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -54,6 +55,37 @@ def test_simulate_deterministic_across_invocations(tmp_path):
     assert main(["simulate", "--config", str(path), "--seed", "7",
                  "--out", str(tmp_path / "b"), "--quiet"]) == 0
     assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
+
+
+def test_runs_leave_no_cyclic_garbage(tmp_path):
+    """Each in-process run is freed by reference counting alone.
+
+    Reference cycles wait for the cyclic collector, so a caller that runs
+    many ops in one process would see its memory rise and fall with the
+    collector's schedule instead of staying flat from op to op.
+    """
+    path = good_config(
+        tmp_path,
+        topology={"neuron_count": 2, "upstream_links": [[0], [1]]},
+        spikes={"profiles": [{"link": 0, "kind": "constant", "rate_per_ms": 0.2},
+                             {"link": 1, "kind": "constant", "rate_per_ms": 0.2}]},
+        lif={"spike_jump": 16.0},
+        quantum={"enabled": True, "window_ms": 5.0, "shots": 100},
+        calibration={"enabled": True, "window_ms": 0.5, "shots": 10000},
+        fusion=_fusion_block([]),
+    )
+    runs = [["simulate", "--config", str(path), "--out", str(tmp_path / "s"), "--quiet"],
+            ["fuse", "--config", str(path), "--out", str(tmp_path / "f"), "--quiet"]]
+    for argv in runs:
+        assert main(argv) in (0, 2)  # the first call fills one-time caches
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in runs:
+            assert main(argv) in (0, 2)
+            assert gc.collect() == 0, argv[0]
+    finally:
+        gc.enable()
 
 
 def test_calibrate_requires_calibration_block(tmp_path, capsys):

@@ -486,7 +486,8 @@ class TestCsvWriterBytes:
         )
         header = (["t_ms"] + [f"v_{i}" for i in range(3)] + [f"gs_{l}" for l in range(m)]
                   + [f"spike_{i}" for i in range(3)])
-        ind = traj.spike_indicator()
+        ind = np.zeros((5, 3), dtype=int)
+        np.add.at(ind, (np.rint(traj.spike_times / traj.dt_ms).astype(int), traj.spike_neurons), 1)
         rows = [[repr(float(traj.times[r]))] + [repr(float(x)) for x in traj.v[r]]
                 + [repr(float(x)) for x in traj.gs[r]] + [str(int(x)) for x in ind[r]]
                 for r in range(5)]

@@ -355,7 +355,7 @@ def pair_loop_oracle(params, topology, events, t_end, dt, drives):
             gap_const[b] += g * v[a]
         v, gs, crossed = _advance(
             v, gs, topology.link_owner, topology.links_per_neuron, params, drives,
-            counts[i], gap_const, gap_g, dt, float(times[i]), "rk4",
+            counts.get(i, np.zeros(m)), gap_const, gap_g, dt, float(times[i]), "rk4",
         )
         vs.append(v)
         gss.append(gs)
