@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import QuantumState, measure
-from .lif import Trajectory, measure_firing_probability
+from .lif import Trajectory, measure_firing_probability, window_stride
 from .synapse import (
     SynapseCircuit,
     TaggedState,
@@ -135,7 +135,7 @@ def calibrate(
         )
     if shots < MIN_SHOTS:
         raise ValueError(f"shots must be >= {MIN_SHOTS}")
-    n_windows = int(trajectory.duration_ms / window_ms + 1e-9)
+    n_windows = trajectory.n_steps // window_stride(trajectory.dt_ms, window_ms)
     if n_windows < MIN_WINDOWS:
         raise ValueError(
             f"trajectory spans {n_windows} windows of {window_ms} ms; "

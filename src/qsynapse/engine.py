@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateStateError
-from .rng import sample_indices, stream_rng
+from .rng import sample_counts, stream_rng
 
 MAX_STATE_DIM = 4096
 MAX_OPERATOR_DIM = 256
@@ -262,8 +262,7 @@ def measure(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
     """Histogram of ``shots`` i.i.d. basis draws; deterministic given seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    idx = sample_indices(state.probabilities(), shots, stream_rng(seed))
-    counts = np.bincount(idx, minlength=state.dim)
+    counts = sample_counts(state.probabilities(), shots, stream_rng(seed))
     return {label: int(c) for label, c in zip(state.basis_labels, counts)}
 
 

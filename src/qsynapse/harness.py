@@ -36,6 +36,7 @@ from .lif import (
     measure_firing_probability,
     simulate_network,
     window_crossings,
+    window_stride,
 )
 from .rng import stream_rng
 from .scenario import FusionScenario, QuantumRunConfig, ScenarioConfig
@@ -109,16 +110,20 @@ def run_quantum_windows(
     """
     circuit = qcfg.circuit
     dt = traj.dt_ms
-    stride = int(round(qcfg.window_ms / dt))
-    n_windows = traj.n_steps // stride
-    crossed = window_crossings(traj, qcfg.window_ms)[:n_windows]
-    encode_idx = list(qcfg.encode_neurons)
+    stride = window_stride(dt, qcfg.window_ms)
+    crossed = window_crossings(traj, qcfg.window_ms)[:, list(qcfg.encode_neurons)]
+    n_windows = crossed.shape[0]
+    # running crossing frequency over windows 0..w; the counts are exact, so
+    # each quotient equals crossed[: w + 1].mean(axis=0) bitwise.  Casting
+    # before the cumsum keeps numpy from casting through a ~64 KB iterator
+    # buffer, which raised the run's peak RSS.
+    running = np.cumsum(crossed.astype(float), axis=0) / np.arange(1, n_windows + 1)[:, None]
     potentials = traj.v[:, qcfg.potential_neuron]
 
     psi_down = QuantumState.uniform(circuit.down_dim)
     records: list[WindowRecord] = []
     for w in range(n_windows):
-        p = crossed[: w + 1, encode_idx].mean(axis=0)
+        p = running[w]
         prob_sum = float(p.sum())
         if prob_sum == 0.0:
             up_probs = np.zeros(circuit.up_dim)
@@ -295,9 +300,10 @@ def run_scenario(
         write_trace_csv(traj, out / "trace.csv")
 
     if config.quantum is not None and config.output.emit_quantum:
-        records = run_quantum_windows(traj, config.quantum, seed)
+        # the records are not kept past the write, so calibration does not run on top of them
         write_quantum_csv(
-            records, config.quantum.circuit.up_dim, config.quantum.circuit.down_dim,
+            run_quantum_windows(traj, config.quantum, seed),
+            config.quantum.circuit.up_dim, config.quantum.circuit.down_dim,
             out / "quantum.csv",
         )
 

@@ -53,6 +53,9 @@ class LifParams:
         for name in ("cm", "g_leak", "tau_syn", "gs_max"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.delta_g < 0:
+            # keeps every conductance in [0, gs_max], so decay needs no clamp
+            raise ValueError(f"delta_g must be >= 0, got {self.delta_g}")
         if self.v_thres <= self.v_rest:
             raise ValueError(
                 f"v_thres ({self.v_thres}) must exceed v_rest ({self.v_rest}); "
@@ -244,7 +247,7 @@ def _advance(
         else:
             raise ValueError(f"unknown integrator {integrator!r}; expected one of {INTEGRATORS}")
 
-    gs1 = np.clip(gs * full, 0.0, params.gs_max) if gs.shape[0] else gs
+    gs1 = gs * full  # stays in [0, gs_max]: delta_g >= 0 and full <= 1
     bad = ~np.isfinite(v1)
     if bad.any():
         raise NumericalDivergenceError(int(np.flatnonzero(bad)[0]), t)
@@ -258,32 +261,33 @@ def _advance(
 class Trajectory:
     """Recorded run: potentials, conductances and spike events per step.
 
-    Row i of ``v``/``gs`` is the state at ``times[i]``; spike events are
-    stamped with the start time of the step in which the crossing happened.
+    Row i of ``v``/``gs`` is the state at ``times[i]``; a spike event is the
+    index of the step in which the crossing happened, so it is stamped with
+    that step's start time.
     """
 
     dt_ms: float
     times: np.ndarray                    # (n_steps+1,)
     v: np.ndarray                        # (n_steps+1, N)
     gs: np.ndarray                       # (n_steps+1, M)
-    spike_times: np.ndarray              # (n_events,)
+    spike_steps: np.ndarray              # (n_events,) step index per crossing
     spike_neurons: np.ndarray            # (n_events,)
     params: LifParams
     topology: NetworkTopology
 
     @property
-    def duration_ms(self) -> float:
-        return float(self.times[-1]) if self.times.size else 0.0
-
-    @property
     def n_steps(self) -> int:
         return self.times.size - 1
+
+    @property
+    def spike_times(self) -> np.ndarray:
+        """Start time of each crossing's step, ``step * dt_ms`` like ``times``."""
+        return self.spike_steps * self.dt_ms
 
     def spike_rows(self) -> dict[int, list[int]]:
         """Per-neuron crossing counts at each step start that has a crossing; others are absent."""
         rows: dict[int, list[int]] = {}
-        steps = np.rint(self.spike_times / self.dt_ms).astype(np.intp)
-        for step, neuron in zip(steps.tolist(), self.spike_neurons.astype(np.intp).tolist()):
+        for step, neuron in zip(self.spike_steps.tolist(), self.spike_neurons.tolist()):
             rows.setdefault(step, [0] * self.topology.neuron_count)[neuron] += 1
         return rows
 
@@ -300,6 +304,146 @@ def bin_spike_events(
     return counts
 
 
+# Networks of at most this many neurons step on Python floats, wider ones on
+# numpy arrays.  Both loops give bitwise equal trajectories; the float loop
+# wins while numpy's per-call overhead outweighs the per-neuron arithmetic.
+# The two cost the same at 40-48 neurons (2-core x86 host, with and without
+# gap junctions); 16 stays well below that.
+FLOAT_LOOP_MAX_NEURONS = 16
+
+
+def _step_arrays(params, topology, counts, drives, v, dt, integrator, v_rec, gs_rec,
+                 ev_steps, ev_neurons):
+    """Step with ``_advance``; returns (step, neuron) of a divergence, else None."""
+    m = topology.n_links
+    no_spikes = np.zeros(m)
+    gs = np.zeros(m)
+    gap_g = topology.gap_conductance_sum
+    owner = topology.link_owner
+    n_links = topology.links_per_neuron
+    for i in range(v_rec.shape[0] - 1):
+        try:
+            v, gs, crossed = _advance(
+                v, gs, owner, n_links, params, drives, counts.get(i, no_spikes),
+                topology.gap_input(v), gap_g, dt, i * dt, integrator,
+            )
+        except NumericalDivergenceError as err:
+            return i, err.neuron
+        v_rec[i + 1] = v
+        gs_rec[i + 1] = gs
+        for idx in np.flatnonzero(crossed).tolist():
+            ev_steps.append(i)
+            ev_neurons.append(idx)
+    return None
+
+
+def _step_floats(params, topology, counts, drives, v, dt, integrator, v_rec, gs_rec,
+                 ev_steps, ev_neurons):
+    """``_step_arrays`` on Python floats, one neuron at a time.
+
+    Every value is formed by the IEEE operations of ``_advance`` in the same
+    order: link sums start from 0.0 in increasing link-id order (as
+    ``np.bincount`` sums), gap inputs accumulate in ``gap_incidence`` order,
+    the rhs formula is chosen for the whole network each step, and each
+    stage is ``(base + s*e_syn - (v_coef + s)*x) / cm`` with the terms that
+    do not depend on x hoisted per decay value.  Rows are written in place.
+    """
+    p = params
+    if integrator not in INTEGRATORS:
+        raise ValueError(f"unknown integrator {integrator!r}; expected one of {INTEGRATORS}")
+    rk4 = integrator == "rk4"
+    n = topology.neuron_count
+    m = topology.n_links
+    links = [sorted(ls) for ls in topology.upstream_links]
+    gap = list(zip(*(a.tolist() for a in topology.gap_incidence)))
+    gap_g = topology.gap_conductance_sum.tolist()
+    v_coef = [p.g_leak + g for g in gap_g]
+    dr = drives.tolist()
+    v = v.tolist()
+    gs = [0.0] * m
+    gi = [0.0] * n
+    vm = memoryview(v_rec.reshape(-1))
+    gm = memoryview(gs_rec.reshape(-1))
+    cm, e_syn, v_thres, v_rest = p.cm, p.e_syn, p.v_thres, p.v_rest
+    delta_g, gs_max, jump = p.delta_g, p.gs_max, p.spike_jump
+    g_leak_v_rest = p.g_leak * p.v_rest
+    half = math.exp(-0.5 * dt / p.tau_syn)
+    full = math.exp(-dt / p.tau_syn)
+    h, dt6 = 0.5 * dt, dt / 6.0
+    literal = p.literal_multilink_leak
+    if literal:
+        neg_g_leak = -p.g_leak
+        n_links = topology.links_per_neuron.tolist()
+        n_links_v_rest = [k * v_rest for k in n_links]
+
+        def literal_rhs(j, x, decay):  # reads the current step's tot and gi
+            syn = tot[j] * decay * (e_syn - x)
+            return neg_g_leak * (syn - n_links_v_rest[j]
+                                 + n_links[j] * (dr[j] + (gi[j] - gap_g[j] * x))) / cm
+
+    for i in range(v_rec.shape[0] - 1):
+        if gap:  # from the potentials before this step's spike jumps, as in _step_arrays
+            gi = [0.0] * n
+            for dst, src, g in gap:
+                gi[dst] += g * v[src]
+        c = counts.get(i)
+        if c is not None:
+            c = c.tolist()
+            gs = [min(g + delta_g * k, gs_max) for g, k in zip(gs, c)]
+            for j, ls in enumerate(links):
+                s = 0.0
+                for l in ls:
+                    s += c[l]
+                v[j] = v[j] + jump * s
+        tot = []
+        for ls in links:
+            s = 0.0
+            for l in ls:
+                s += gs[l]
+            tot.append(s)
+        syn = any(tot)
+        row = (i + 1) * n
+        for j in range(n):
+            x = v[j]
+            if literal:
+                k1 = literal_rhs(j, x, 1.0)
+                if rk4:
+                    k2 = literal_rhs(j, x + h * k1, half)
+                    k3 = literal_rhs(j, x + h * k2, half)
+                    k4 = literal_rhs(j, x + dt * k3, full)
+            else:
+                base = g_leak_v_rest + gi[j] + dr[j]
+                c1 = ch = cf = v_coef[j]
+                b1 = bh = bf = base
+                if syn:
+                    s = tot[j]
+                    b1, c1 = base + s * e_syn, c1 + s
+                    if rk4:
+                        sh, sf = s * half, s * full
+                        bh, ch = base + sh * e_syn, ch + sh
+                        bf, cf = base + sf * e_syn, cf + sf
+                k1 = (b1 - c1 * x) / cm
+                if rk4:
+                    k2 = (bh - ch * (x + h * k1)) / cm
+                    k3 = (bh - ch * (x + h * k2)) / cm
+                    k4 = (bf - cf * (x + dt * k3)) / cm
+            x = x + dt6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4) if rk4 else x + dt * k1
+            if not math.isfinite(x):
+                while ev_steps and ev_steps[-1] == i:
+                    ev_steps.pop()
+                    ev_neurons.pop()
+                return i, j
+            if x > v_thres:
+                x = v_rest
+                ev_steps.append(i)
+                ev_neurons.append(j)
+            v[j] = vm[row + j] = x
+        row = (i + 1) * m
+        for l in range(m):
+            gs[l] = gm[row + l] = gs[l] * full
+    return None
+
+
 def simulate_network(
     params: LifParams,
     topology: NetworkTopology,
@@ -313,71 +457,49 @@ def simulate_network(
 ) -> Trajectory:
     """Run the network to ``t_end_ms`` and record the full trajectory.
 
-    On numerical divergence the raised error carries the truncated recording
+    Networks of up to ``FLOAT_LOOP_MAX_NEURONS`` neurons step on Python
+    floats, wider ones on numpy; the trajectories are bitwise equal.  On
+    numerical divergence the raised error carries the truncated recording
     in its ``partial`` attribute.
     """
     if dt_ms <= 0 or t_end_ms <= 0:
         raise ValueError("dt_ms and t_end_ms must be > 0")
     n_steps = int(round(t_end_ms / dt_ms))
     n = topology.neuron_count
-    m = topology.n_links
-    counts = bin_spike_events(spike_events, n_steps, m, dt_ms)
-    no_spikes = np.zeros(m)
+    counts = bin_spike_events(spike_events, n_steps, topology.n_links, dt_ms)
     dr = np.zeros(n) if drives is None else np.asarray(drives, dtype=float)
-
     v = np.full(n, params.v_init) if v_init is None else np.asarray(v_init, dtype=float).copy()
-    gs = np.zeros(m)
+    if dr.shape != (n,) or v.shape != (n,):
+        raise ValueError(f"drives and v_init need one value per neuron ({n}); "
+                         f"got shapes {dr.shape} and {v.shape}")
     times = np.arange(n_steps + 1) * dt_ms
     v_rec = np.empty((n_steps + 1, n))
-    gs_rec = np.empty((n_steps + 1, m))
+    gs_rec = np.empty((n_steps + 1, topology.n_links))
     v_rec[0] = v
-    gs_rec[0] = gs
-    ev_times: list[float] = []
+    gs_rec[0] = 0.0
+    ev_steps: list[int] = []
     ev_neurons: list[int] = []
-    gap_g = topology.gap_conductance_sum
-    owner = topology.link_owner
-    n_links = topology.links_per_neuron
-
-    for i in range(n_steps):
-        t = float(times[i])
-        try:
-            v, gs, crossed = _advance(
-                v, gs, owner, n_links, params, dr, counts.get(i, no_spikes),
-                topology.gap_input(v), gap_g, dt_ms, t, integrator,
-            )
-        except NumericalDivergenceError as err:
-            err.partial = Trajectory(
-                dt_ms=dt_ms,
-                times=times[: i + 1],
-                v=v_rec[: i + 1].copy(),
-                gs=gs_rec[: i + 1].copy(),
-                spike_times=np.array(ev_times),
-                spike_neurons=np.array(ev_neurons, dtype=np.intp),
-                params=params,
-                topology=topology,
-            )
-            raise
-        v_rec[i + 1] = v
-        gs_rec[i + 1] = gs
-        for idx in np.flatnonzero(crossed):
-            ev_times.append(t)
-            ev_neurons.append(int(idx))
-
-    return Trajectory(
-        dt_ms=dt_ms,
-        times=times,
-        v=v_rec,
-        gs=gs_rec,
-        spike_times=np.array(ev_times),
-        spike_neurons=np.array(ev_neurons, dtype=np.intp),
-        params=params,
-        topology=topology,
-    )
+    step = _step_floats if n <= FLOAT_LOOP_MAX_NEURONS else _step_arrays
+    failed = step(params, topology, counts, dr, v, dt_ms, integrator, v_rec, gs_rec,
+                  ev_steps, ev_neurons)
+    spike_steps = np.array(ev_steps, dtype=np.intp)
+    spike_neurons = np.array(ev_neurons, dtype=np.intp)
+    if failed is not None:
+        i, neuron = failed
+        err = NumericalDivergenceError(neuron, i * dt_ms)
+        err.partial = Trajectory(dt_ms, times[: i + 1], v_rec[: i + 1].copy(),
+                                 gs_rec[: i + 1].copy(), spike_steps, spike_neurons,
+                                 params, topology)
+        raise err
+    return Trajectory(dt_ms, times, v_rec, gs_rec, spike_steps, spike_neurons, params, topology)
 
 
-def _window_count(duration_ms: float, window_ms: float) -> int:
-    # small nudge so exact multiples survive float rounding in times[-1]
-    return int(math.floor(duration_ms / window_ms + 1e-9))
+def window_stride(dt_ms: float, window_ms: float) -> int:
+    """Steps per window; raises unless ``window_ms`` is a whole number of ``dt_ms`` steps."""
+    stride = round(window_ms / dt_ms)
+    if stride < 1 or abs(stride * dt_ms - window_ms) > 1e-9 * max(1.0, window_ms):
+        raise ValueError(f"window_ms ({window_ms}) must be a whole number of dt_ms ({dt_ms}) steps")
+    return stride
 
 
 def measure_firing_probability(traj: Trajectory, window_ms: float, neuron: int) -> float:
@@ -391,15 +513,21 @@ def measure_firing_probability(traj: Trajectory, window_ms: float, neuron: int) 
 
 
 def window_crossings(traj: Trajectory, window_ms: float) -> np.ndarray:
-    """(n_windows, N) boolean matrix: neuron crossed within the window."""
+    """(n_windows, N) boolean matrix: neuron crossed within the window.
+
+    Window w covers steps ``w*stride`` to ``(w+1)*stride - 1``, so a crossing
+    at step i lands in window ``i // stride``; a trailing partial window is
+    dropped.  The crossings are marked per step and the steps folded into
+    windows.
+    """
     if traj.times.size <= 1:
         raise ValueError("empty trajectory")
-    n_windows = _window_count(traj.duration_ms, window_ms)
+    stride = window_stride(traj.dt_ms, window_ms)
+    n_windows = traj.n_steps // stride
     if n_windows < 1:
         raise ValueError("trajectory shorter than one window")
-    crossed = np.zeros((n_windows, traj.topology.neuron_count), dtype=bool)
-    if traj.spike_times.size:
-        w_idx = np.floor(traj.spike_times / window_ms).astype(np.intp)
-        keep = w_idx < n_windows
-        crossed[w_idx[keep], traj.spike_neurons[keep].astype(np.intp)] = True
-    return crossed
+    n = traj.topology.neuron_count
+    hit = np.zeros((n_windows * stride, n), dtype=bool)
+    keep = traj.spike_steps < hit.shape[0]
+    hit[traj.spike_steps[keep], traj.spike_neurons[keep]] = True
+    return hit.reshape(n_windows, stride, n).any(axis=1)

@@ -23,8 +23,15 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_indices(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``shots`` i.i.d. indices from a probability vector via inverse CDF.
+# sample_counts draws this many uniforms at a time.  A Generator yields the
+# same stream whatever the block sizes, so the counts do not depend on it;
+# it bounds the memory of a large measurement (100000 shots in one block held
+# three 800 KB arrays at once).
+SHOT_BLOCK = 8192
+
+
+def sample_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Histogram of ``shots`` i.i.d. inverse-CDF draws from a probability vector.
 
     Zero-probability bins are unreachable exactly: a bin of zero width can
     never contain a uniform draw, and the overflow guard below maps any
@@ -35,11 +42,12 @@ def sample_indices(probs: np.ndarray, shots: int, rng: np.random.Generator) -> n
     if total <= 0.0:
         raise ValueError("probability vector sums to zero")
     cdf = np.cumsum(p / total)
-    nonzero = np.flatnonzero(p)
-    last_nonzero = int(nonzero[-1])
-    u = rng.random(shots)
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, last_nonzero)
+    last_nonzero = int(np.flatnonzero(p)[-1])
+    counts = np.zeros(p.size, dtype=np.intp)
+    for start in range(0, shots, SHOT_BLOCK):
+        idx = np.searchsorted(cdf, rng.random(min(SHOT_BLOCK, shots - start)), side="right")
+        counts += np.bincount(np.minimum(idx, last_nonzero, out=idx), minlength=p.size)
+    return counts
 
 
 def exponential_gap(rate: float, rng: np.random.Generator) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import load_operator_text
 from .errors import ConfigError
-from .lif import INTEGRATORS, LifParams, NetworkTopology
+from .lif import INTEGRATORS, LifParams, NetworkTopology, window_stride
 from .spikes import RateProfile
 from .synapse import SynapseCircuit, load_composition_table
 
@@ -72,6 +72,16 @@ def _string(value, path: str, choices=None) -> str:
     if choices is not None and value not in choices:
         raise ConfigError(f"{path} must be one of {sorted(choices)}, got {value!r}")
     return value
+
+
+def _whole_steps(window_ms: float, dt_ms: float, path: str, dt_path: str) -> None:
+    """Windows are counted in integer steps, so a window must span whole steps."""
+    try:
+        window_stride(dt_ms, window_ms)
+    except ValueError:
+        raise ConfigError(
+            f"{path} ({window_ms}) must be a whole number of {dt_path} ({dt_ms}) steps"
+        ) from None
 
 
 def _existing_file(value, path: str, base_dir: Path) -> Path:
@@ -239,11 +249,7 @@ def _parse_quantum(block: dict, topology: NetworkTopology, dt_ms: float,
         return None
     window_ms = _number(_require(block, "quantum", "window_ms"), "quantum.window_ms", strict_min=0.0)
     shots = _integer(_require(block, "quantum", "shots"), "quantum.shots", minimum=1)
-    steps = round(window_ms / dt_ms)
-    if steps < 1 or abs(steps * dt_ms - window_ms) > 1e-9 * max(1.0, window_ms):
-        raise ConfigError(
-            f"quantum.window_ms ({window_ms}) must be a whole number of dt_ms steps"
-        )
+    _whole_steps(window_ms, dt_ms, "quantum.window_ms", "simulation.dt_ms")
     if t_end_ms / window_ms + 1e-9 < 1.0:
         raise ConfigError("quantum.window_ms exceeds the simulated duration")
 
@@ -387,6 +393,7 @@ def _parse_calibration(block: dict, dt_ms: float, t_end_ms: float,
                         "calibration.window_ms", strict_min=0.0)
     shots = _integer(block.get("shots", 100_000), "calibration.shots", minimum=10_000)
     epsilon = _number(block.get("epsilon", 0.02), "calibration.epsilon", strict_min=0.0)
+    _whole_steps(window_ms, dt_ms, "calibration.window_ms", "simulation.dt_ms")
     if t_end_ms / window_ms + 1e-9 < 100:
         raise ConfigError(
             "calibration needs at least 100 windows; shrink calibration.window_ms "
@@ -443,10 +450,13 @@ def _parse_fusion(block: dict) -> FusionConfig:
         circuit = SynapseCircuit(up_dim=n, down_dim=n, shutdown_links=shutdowns)
     except ValueError as err:
         raise ConfigError(f"fusion: {err}") from err
+    window_ms = _number(block.get("window_ms", 5.0), "fusion.window_ms", strict_min=0.0)
+    dt_ms = _number(block.get("dt_ms", 0.25), "fusion.dt_ms", strict_min=0.0)
+    _whole_steps(window_ms, dt_ms, "fusion.window_ms", "fusion.dt_ms")
     return FusionConfig(
         scenario=scenario,
-        window_ms=_number(block.get("window_ms", 5.0), "fusion.window_ms", strict_min=0.0),
-        dt_ms=_number(block.get("dt_ms", 0.25), "fusion.dt_ms", strict_min=0.0),
+        window_ms=window_ms,
+        dt_ms=dt_ms,
         shots=_integer(block.get("shots", 100_000), "fusion.shots", minimum=1),
         settle_ms=_number(block.get("settle_ms", 30.0), "fusion.settle_ms", strict_min=0.0),
         circuit=circuit,

@@ -233,7 +233,7 @@ def _bernoulli_trajectory(p: list[float], n_windows: int, window_ms: float, seed
         times=np.arange(n_windows + 1) * window_ms,
         v=np.full((n_windows + 1, n), params.v_rest),
         gs=np.zeros((n_windows + 1, 0)),
-        spike_times=w_idx * window_ms + 0.5 * window_ms,
+        spike_steps=w_idx.astype(np.intp),
         spike_neurons=n_idx.astype(np.intp),
         params=params,
         topology=topo,

@@ -21,18 +21,18 @@ def synth_trajectory(crossed: np.ndarray, window_ms: float) -> Trajectory:
     params = LifParams()
     topo = NetworkTopology.build(n_neurons, [[] for _ in range(n_neurons)])
     times = np.arange(n_windows + 1) * window_ms
-    ev_t, ev_n = [], []
+    ev_steps, ev_n = [], []
     for w in range(n_windows):
         for n in range(n_neurons):
             if crossed[w, n]:
-                ev_t.append(w * window_ms + 0.5 * window_ms)
+                ev_steps.append(w)
                 ev_n.append(n)
     return Trajectory(
         dt_ms=window_ms,
         times=times,
         v=np.full((n_windows + 1, n_neurons), params.v_rest),
         gs=np.zeros((n_windows + 1, 0)),
-        spike_times=np.array(ev_t),
+        spike_steps=np.array(ev_steps, dtype=np.intp),
         spike_neurons=np.array(ev_n, dtype=np.intp),
         params=params,
         topology=topo,

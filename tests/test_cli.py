@@ -40,6 +40,12 @@ def test_validate_unknown_field_names_it(tmp_path, capsys):
     assert "simulation.dtms" in capsys.readouterr().err
 
 
+def test_validate_rejects_negative_delta_g(tmp_path, capsys):
+    path = good_config(tmp_path, lif={"delta_g": -0.05})
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "lif: delta_g must be >= 0, got -0.05" in capsys.readouterr().err
+
+
 def test_missing_config_flag_is_usage_error(capsys):
     assert main(["simulate"]) == 1
 

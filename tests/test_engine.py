@@ -23,7 +23,7 @@ from qsynapse.engine import (
     spin_half_generators,
 )
 from qsynapse.harness import window_measure_seed
-from qsynapse.rng import stream_rng
+from qsynapse.rng import SHOT_BLOCK, sample_counts, stream_rng
 
 
 def taylor_expm(h: np.ndarray, scale: float, terms: int = 30) -> np.ndarray:
@@ -290,6 +290,17 @@ class TestMeasure:
     def test_shots_validation(self):
         with pytest.raises(ValueError):
             measure(QuantumState.uniform(2), 0, seed=1)
+
+    @pytest.mark.parametrize("shots", [1, SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 1,
+                                       3 * SHOT_BLOCK + 17])
+    def test_block_counts_equal_one_draw(self, shots):
+        """Counting block by block equals one inverse-CDF pass over all the uniforms."""
+        p = np.array([0.0, 0.25, 0.0, 0.5, 0.25, 0.0])
+        cdf = np.cumsum(p / p.sum())
+        idx = np.minimum(np.searchsorted(cdf, stream_rng(9, 3).random(shots), side="right"), 4)
+        counts = sample_counts(p, shots, stream_rng(9, 3))
+        assert counts.tolist() == np.bincount(idx, minlength=p.size).tolist()
+        assert counts[[0, 2, 5]].tolist() == [0, 0, 0]
 
 
 class TestMeasureConvergence:

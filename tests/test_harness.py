@@ -34,8 +34,8 @@ from qsynapse.harness import (
     write_quantum_csv,
     write_trace_csv,
 )
-from qsynapse.lif import Trajectory
-from qsynapse.scenario import QuantumRunConfig
+from qsynapse.lif import Trajectory, window_crossings
+from qsynapse.scenario import QuantumRunConfig, parse_config
 
 
 def base_config(**overrides) -> dict:
@@ -129,6 +129,15 @@ class TestConfigValidation:
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
+
+    @pytest.mark.parametrize("block, path", [
+        ({"calibration": {"enabled": True, "window_ms": 0.25}}, "calibration.window_ms"),
+        ({"fusion": {"sensors": [{"p": 0.5, "weight": 1.0}, {"p": 0.7, "weight": 1.0}],
+                     "n_events": 10, "window_ms": 1.0, "dt_ms": 0.3}}, "fusion.window_ms"),
+    ])
+    def test_windows_must_be_whole_steps(self, tmp_path, block, path):
+        with pytest.raises(ConfigError, match=rf"{path} \(.*\) must be a whole number"):
+            load_config(write_config(tmp_path, base_config(**block)))
 
     def test_calibration_window_count_precondition(self, tmp_path):
         cfg = base_config()
@@ -242,6 +251,15 @@ class TestQuantumWindows:
         records = run_quantum_windows(traj, make_qcfg(SynapseCircuit(2, 2)), 1)
         assert all(rec.degenerate for rec in records)
         assert all(rec.counts.sum() == 0 for rec in records)
+
+    def test_running_mean_equals_prefix_means_bitwise(self):
+        """The one-cumsum running frequency equals the per-window prefix mean it replaced."""
+        traj = make_trajectory(seed=9, t_end=300.0)
+        crossed = window_crossings(traj, 0.5)
+        old = [crossed[: w + 1].mean(axis=0) for w in range(crossed.shape[0])]
+        assert 0.0 < old[-1].min()
+        records = run_quantum_windows(traj, make_qcfg(SynapseCircuit(2, 2), window_ms=0.5), 3)
+        assert [r.prob_sum_up for r in records] == [float(p.sum()) for p in old]
 
     def test_bidirectional_zero_feedback_reduces_bitwise(self):
         traj = make_trajectory()
@@ -371,6 +389,17 @@ class TestGoldenScenario:
         assert main(["fuse", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
         assert (tmp_path / "fusion.csv").read_bytes() == (self.GOLDEN / "fusion.csv").read_bytes()
 
+    def test_windows_count_integer_steps(self, tmp_path):
+        """At dt 0.1 ms a 0.4 ms window holds steps 4w..4w+3.  Float times put 1632 of
+        100000 step starts one window early, here the crossing at step 2912 in window 727."""
+        raw = json.loads((self.GOLDEN / "scenario.json").read_text())
+        raw["quantum"]["window_ms"] = 0.4
+        raw["simulation"]["t_end_ms"] = 1200.0
+        raw["output"] = {"emit_trace": False, "emit_calibration": False}
+        out = run_scenario(parse_config(raw, self.GOLDEN), out_dir=str(tmp_path), seed_override=1,
+                           quiet=True)
+        assert read_column(out / "quantum.csv", "prob_sum_up")[727] == "0.059065934065934064"
+
 
 class TestFileBackedCircuitInputs:
     def test_k_operator_and_coupling_loaded_from_files(self, tmp_path):
@@ -479,7 +508,7 @@ class TestCsvWriterBytes:
             times=np.arange(5) * 0.1,
             v=vals[:15].reshape(5, 3),
             gs=vals[15:15 + 5 * m].reshape(5, m),
-            spike_times=np.array([0.1, 0.2, 0.2]),
+            spike_steps=np.array([1, 2, 2]),
             spike_neurons=np.array([0, 2, 2]),
             params=LifParams(),
             topology=topo,
@@ -487,7 +516,7 @@ class TestCsvWriterBytes:
         header = (["t_ms"] + [f"v_{i}" for i in range(3)] + [f"gs_{l}" for l in range(m)]
                   + [f"spike_{i}" for i in range(3)])
         ind = np.zeros((5, 3), dtype=int)
-        np.add.at(ind, (np.rint(traj.spike_times / traj.dt_ms).astype(int), traj.spike_neurons), 1)
+        np.add.at(ind, (traj.spike_steps, traj.spike_neurons), 1)
         rows = [[repr(float(traj.times[r]))] + [repr(float(x)) for x in traj.v[r]]
                 + [repr(float(x)) for x in traj.gs[r]] + [str(int(x)) for x in ind[r]]
                 for r in range(5)]

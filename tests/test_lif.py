@@ -13,7 +13,14 @@ from qsynapse import (
     measure_firing_probability,
     simulate_network,
 )
-from qsynapse.lif import _advance, bin_spike_events, window_crossings
+from qsynapse.lif import (
+    FLOAT_LOOP_MAX_NEURONS,
+    Trajectory,
+    _advance,
+    bin_spike_events,
+    window_crossings,
+    window_stride,
+)
 
 DEFAULT_PARAMS = LifParams()  # cm=1, g_leak=0.0551, v_rest=-65, v_init=-70.6837
 
@@ -43,6 +50,11 @@ class TestParams:
             LifParams(v_thres=-70.0)  # below v_rest
         with pytest.raises(ValueError, match="tau_syn"):
             LifParams(tau_syn=-1.0)
+
+    def test_negative_delta_g_rejected(self):
+        with pytest.raises(ValueError, match="delta_g must be >= 0"):
+            LifParams(delta_g=-0.01)
+        assert LifParams(delta_g=0.0).delta_g == 0.0
 
     def test_g_elec_bound_warns_not_raises(self):
         with pytest.warns(UserWarning, match="g_elec"):
@@ -281,7 +293,7 @@ class TestFiringProbability:
         window = 10.0
         estimate = measure_firing_probability(traj, window, 0)
         # independent recount: walk the raw event list window by window
-        n_windows = int(traj.duration_ms // window)
+        n_windows = int(traj.times[-1] // window)
         hit = 0
         for w in range(n_windows):
             lo, hi = w * window, (w + 1) * window
@@ -305,6 +317,42 @@ class TestFiringProbability:
             measure_firing_probability(traj, 5.0, 0)
         with pytest.raises(ValueError, match="unknown neuron"):
             measure_firing_probability(traj, 1.0, 4)
+        with pytest.raises(ValueError, match="whole number"):
+            measure_firing_probability(traj, 0.25, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dt=st.floats(1e-3, 10.0),
+    stride=st.integers(1, 50),
+    n_steps=st.integers(1, 400),
+    events=st.lists(st.tuples(st.integers(0, 399), st.integers(0, 2)), max_size=40),
+)
+def test_window_crossings_use_integer_steps(dt, stride, n_steps, events):
+    """A crossing at step i lands in window i // stride for any dt; no float times."""
+    events = sorted((i, n) for i, n in events if i < n_steps)
+    traj = Trajectory(
+        dt_ms=dt,
+        times=np.arange(n_steps + 1) * dt,
+        v=np.zeros((n_steps + 1, 3)),
+        gs=np.zeros((n_steps + 1, 0)),
+        spike_steps=np.array([i for i, _ in events], dtype=np.intp),
+        spike_neurons=np.array([n for _, n in events], dtype=np.intp),
+        params=DEFAULT_PARAMS,
+        topology=NetworkTopology.build(3, [[], [], []]),
+    )
+    window = stride * dt
+    assert window_stride(dt, window) == stride
+    if n_steps < stride:
+        with pytest.raises(ValueError, match="shorter than one window"):
+            window_crossings(traj, window)
+        return
+    expected = np.zeros((n_steps // stride, 3), dtype=bool)
+    for i, n in events:
+        if i // stride < expected.shape[0]:
+            expected[i // stride, n] = True
+    assert np.array_equal(window_crossings(traj, window), expected)
+    assert np.array_equal(traj.spike_times, traj.spike_steps * dt)
 
 
 class TestConcurrentInstances:
@@ -336,8 +384,8 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def pair_loop_oracle(params, topology, events, t_end, dt, drives):
-    """simulate_network with gap coupling summed by a Python loop over pairs."""
+def pair_loop_oracle(params, topology, events, t_end, dt, drives, integrator="rk4", v_init=None):
+    """simulate_network through ``_advance`` with gap coupling summed by a Python loop over pairs."""
     n, m = topology.neuron_count, topology.n_links
     n_steps = int(round(t_end / dt))
     counts = bin_spike_events(events, n_steps, m, dt)
@@ -346,8 +394,9 @@ def pair_loop_oracle(params, topology, events, t_end, dt, drives):
     for a, b, g in topology.elec_pairs:
         gap_g[a] += g
         gap_g[b] += g
-    v, gs = np.full(n, params.v_init), np.zeros(m)
-    vs, gss, ev_times, ev_neurons = [v], [gs], [], []
+    v = np.full(n, params.v_init) if v_init is None else np.array(v_init, dtype=float)
+    gs = np.zeros(m)
+    vs, gss, ev_steps, ev_neurons = [v], [gs], [], []
     for i in range(n_steps):
         gap_const = np.zeros(n)
         for a, b, g in topology.elec_pairs:
@@ -355,24 +404,29 @@ def pair_loop_oracle(params, topology, events, t_end, dt, drives):
             gap_const[b] += g * v[a]
         v, gs, crossed = _advance(
             v, gs, topology.link_owner, topology.links_per_neuron, params, drives,
-            counts.get(i, np.zeros(m)), gap_const, gap_g, dt, float(times[i]), "rk4",
+            counts.get(i, np.zeros(m)), gap_const, gap_g, dt, float(times[i]), integrator,
         )
         vs.append(v)
         gss.append(gs)
         for idx in np.flatnonzero(crossed):
-            ev_times.append(float(times[i]))
+            ev_steps.append(i)
             ev_neurons.append(int(idx))
-    return gap_g, np.array(vs), np.array(gss), ev_times, ev_neurons
+    ev_times = [float(times[i]) for i in ev_steps]
+    return gap_g, np.array(vs), np.array(gss), ev_times, ev_steps, ev_neurons
 
 
 @st.composite
 def gap_networks(draw):
-    """Topologies up to 60 neurons with repeated, reversed and zero-g pairs."""
-    n = draw(st.integers(1, 60))
-    upstream, next_id = [], 0
-    for has_link in draw(st.lists(st.booleans(), min_size=n, max_size=n)):
-        upstream.append([next_id] if has_link else [])
-        next_id += int(has_link)
+    """Networks on both sides of FLOAT_LOOP_MAX_NEURONS with repeated, reversed and
+    zero-g pairs, neurons owning several links with permuted ids, and drawn parameters."""
+    n = draw(st.one_of(st.integers(1, FLOAT_LOOP_MAX_NEURONS),
+                       st.integers(FLOAT_LOOP_MAX_NEURONS + 1, 60)))
+    per_neuron = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    ids = draw(st.permutations(range(sum(per_neuron))))
+    upstream, start = [], 0
+    for k in per_neuron:  # e.g. neuron 0 may own [3, 1]
+        upstream.append(list(ids[start:start + k]))
+        start += k
     g = st.one_of(st.just(0.0), st.floats(0.0, 0.05))
     pairs = []
     if n > 1:
@@ -381,23 +435,100 @@ def gap_networks(draw):
             pairs.append((i, (i + d) % n, gij))
     n_steps = draw(st.integers(1, 40))
     events = []
-    if next_id:
+    if ids:
         events = draw(st.lists(st.tuples(st.floats(0.0, n_steps * 0.1, exclude_max=True),
-                                         st.integers(0, next_id - 1)), max_size=60))
+                                         st.integers(0, len(ids) - 1)), max_size=60))
     drives = draw(st.lists(st.floats(0.0, 6.0), min_size=n, max_size=n))
-    return NetworkTopology.build(n, upstream, pairs), sorted(events), n_steps, np.array(drives)
+    # the last two sets keep |v| small against each step's increment, so a reordered
+    # sum shows in the last bits of v instead of vanishing into v's rounding; a large
+    # e_syn does the same for the order of each neuron's conductance sum
+    small = dict(v_rest=-1.0, v_thres=4.0, v_init=-2.0, g_leak=0.3, spike_jump=2.0)
+    lif = draw(st.sampled_from([dict(spike_jump=8.0), dict(small, e_syn=-3.0),
+                                dict(small, e_syn=50.0)]))
+    params = LifParams(
+        **lif,
+        delta_g=draw(st.sampled_from([0.0, 0.01, 0.3])),
+        literal_multilink_leak=draw(st.booleans()),
+    )
+    v_init = draw(st.one_of(st.none(), st.lists(
+        st.floats(params.v_rest - 15.0, params.v_thres + 5.0), min_size=n, max_size=n)))
+    integrator = draw(st.sampled_from(["rk4", "euler"]))
+    return (NetworkTopology.build(n, upstream, pairs), sorted(events), n_steps, np.array(drives),
+            v_init, params, integrator)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(gap_networks())
 def test_gap_coupling_matches_pair_loop_bitwise(net):
-    topo, events, n_steps, drives = net
-    p = LifParams(spike_jump=8.0)
+    """Both stepping loops equal the numpy ``_advance`` oracle bit for bit."""
+    topo, events, n_steps, drives, v_init, p, integrator = net
     dt = 0.1
-    traj = simulate_network(p, topo, events, n_steps * dt, dt, drives=drives)
-    gap_g, v, gs, ev_times, ev_neurons = pair_loop_oracle(p, topo, events, n_steps * dt, dt, drives)
+    traj = simulate_network(p, topo, events, n_steps * dt, dt, drives=drives,
+                            integrator=integrator, v_init=v_init)
+    gap_g, v, gs, ev_times, ev_steps, ev_neurons = pair_loop_oracle(
+        p, topo, events, n_steps * dt, dt, drives, integrator, v_init)
     assert _same_bits(topo.gap_conductance_sum, gap_g)
     assert _same_bits(traj.v, v)
     assert _same_bits(traj.gs, gs)
     assert _same_bits(traj.spike_times, np.array(ev_times))
+    assert _same_bits(traj.spike_steps, np.array(ev_steps, dtype=np.intp))
     assert _same_bits(traj.spike_neurons, np.array(ev_neurons, dtype=np.intp))
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+@pytest.mark.parametrize("literal", [False, True])
+def test_float_loop_matches_oracle_over_a_long_run(integrator, literal):
+    """400 steps of a fixed network with permuted multi-link neurons, gap junctions and
+    small potentials: every reordering of a sum has many chances to show in the bits."""
+    from qsynapse import RateProfile, generate_poisson, merge_trains
+
+    p = LifParams(v_rest=-1.0, v_thres=4.0, v_init=-2.0, g_leak=0.3, spike_jump=2.0,
+                  e_syn=50.0, delta_g=0.05, literal_multilink_leak=literal)
+    topo = NetworkTopology.build(4, [[3, 1, 0], [2], [5, 4], []],
+                                 [(0, 1, 0.03), (1, 2, 0.02), (2, 3, 0.04), (3, 0, 0.01)])
+    trains = [generate_poisson(RateProfile.constant(0.2), 40.0, 5, k) for k in range(6)]
+    events = merge_trains(trains)
+    drives = np.array([0.4, 1.5, 0.0, 0.8])
+    traj = simulate_network(p, topo, events, 40.0, 0.1, drives=drives, integrator=integrator)
+    _, v, gs, _, ev_steps, ev_neurons = pair_loop_oracle(p, topo, events, 40.0, 0.1, drives,
+                                                         integrator)
+    assert literal or len(ev_steps) > 10  # the literal formula pulls v down, away from v_thres
+    assert _same_bits(traj.v, v)
+    assert _same_bits(traj.gs, gs)
+    assert _same_bits(traj.spike_steps, np.array(ev_steps, dtype=np.intp))
+    assert _same_bits(traj.spike_neurons, np.array(ev_neurons, dtype=np.intp))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("n", [3, FLOAT_LOOP_MAX_NEURONS + 4])
+def test_divergence_partial_matches_truncated_run(n):
+    """Two 1e308 jumps overflow neuron n-1 at step 7, while neuron 0 crosses in that same
+    step on one finite jump; the error names n-1 and 0.7 ms, and its partial recording
+    (without that step's crossing) equals a run that stops before step 7."""
+    p = LifParams(spike_jump=1e308)
+    topo = NetworkTopology.build(n, [[k] for k in range(n)], [(k, k + 1, 0.01) for k in range(n - 1)])
+    dt = 0.1
+    early = [(0.25, 1), (0.45, 0)]
+    events = early + [(0.75, 0), (0.75, n - 1), (0.76, n - 1)]
+    with pytest.raises(NumericalDivergenceError) as info:
+        simulate_network(p, topo, events, 2.0, dt, drives=[0.5] * n)
+    err = info.value
+    assert (err.neuron, err.time_ms) == (n - 1, 7 * dt)
+    ref = simulate_network(p, topo, early, 7 * dt, dt, drives=[0.5] * n)
+    part = err.partial
+    assert part.n_steps == 7
+    for name in ("times", "v", "gs", "spike_steps", "spike_neurons"):
+        assert _same_bits(getattr(part, name), getattr(ref, name)), name
+    assert part.spike_steps.tolist() == [2, 4] and part.spike_neurons.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("n", [3, FLOAT_LOOP_MAX_NEURONS + 4])
+def test_drives_and_v_init_need_one_value_per_neuron(n):
+    """Both stepping loops see the same check, so a wrong length never broadcasts or truncates."""
+    topo = NetworkTopology.build(n, [[k] for k in range(n)], [])
+    for bad in ([0.5], [0.5] * (n + 1), [[0.5] * n]):
+        with pytest.raises(ValueError, match="one value per neuron"):
+            simulate_network(DEFAULT_PARAMS, topo, [], 1.0, 0.1, drives=bad)
+        with pytest.raises(ValueError, match="one value per neuron"):
+            simulate_network(DEFAULT_PARAMS, topo, [], 1.0, 0.1, v_init=bad)
+    simulate_network(DEFAULT_PARAMS, topo, [], 1.0, 0.1, drives=[0.5] * n, v_init=[-65.0] * n)
