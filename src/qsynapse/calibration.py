@@ -18,14 +18,7 @@ import numpy as np
 
 from .engine import QuantumState, measure
 from .lif import Trajectory, measure_firing_probability, window_stride
-from .synapse import (
-    SynapseCircuit,
-    TaggedState,
-    encode_up,
-    gate_by_tag,
-    run_circuit,
-    shutdown_link,
-)
+from .synapse import SynapseCircuit, encode_up, measured_state, run_circuit
 
 MIN_WINDOWS = 100
 MIN_SHOTS = 10_000
@@ -88,12 +81,9 @@ def readout(
     blocked_tags: Sequence[str] = (),
 ) -> np.ndarray:
     """Measured counts in basis order: shutdowns, then the tag gate, then ``measure``."""
-    for link in circuit.shutdown_links:
-        psi_down = shutdown_link(psi_down, link)
-    if tags is not None and blocked_tags:
-        psi_down = gate_by_tag(TaggedState(psi_down, tags), blocked_tags).state
-    counts = measure(psi_down, shots, seed)
-    return np.array([counts[label] for label in psi_down.basis_labels])
+    state = measured_state(circuit, psi_down, tags, blocked_tags)
+    counts = measure(state, shots, seed)
+    return np.array([counts[label] for label in state.basis_labels])
 
 
 def settle_circuit(
@@ -103,11 +93,13 @@ def settle_circuit(
     dt: float,
     params,
 ) -> QuantumState:
-    """Run the circuit for one window at rest from a uniform downstream start."""
-    steps = max(1, int(round(window_ms / dt)))
+    """Run the circuit for one window at rest from a uniform downstream start.
+
+    Raises unless ``window_ms`` is a whole number of ``dt`` steps.
+    """
     _, psi_down = run_circuit(
         circuit, psi_up, QuantumState.uniform(circuit.down_dim),
-        [params.v_rest] * steps, params, dt,
+        [params.v_rest] * window_stride(dt, window_ms), params, dt,
     )
     return psi_down
 

@@ -14,6 +14,7 @@ operations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateStateError
-from .rng import sample_counts, stream_rng
+from .rng import rekey, sample_counts, stream_rng
 
 MAX_STATE_DIM = 4096
 MAX_OPERATOR_DIM = 256
@@ -258,11 +259,21 @@ def rotation_operator(spec: RotationSpec) -> OperatorMatrix:
     return expm_hermitian(OperatorMatrix(h, kind="hermitian"), -spec.angle)
 
 
+@functools.cache
+def _measure_rng() -> np.random.Generator:
+    # made on the first measurement, so that importing the package does not load numpy.random
+    return stream_rng(0)
+
+
 def measure(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
-    """Histogram of ``shots`` i.i.d. basis draws; deterministic given seed."""
+    """Histogram of ``shots`` i.i.d. basis draws; deterministic given seed.
+
+    The draws are those of ``stream_rng(seed)``, taken from one generator
+    that every call re-keys, so calls must not run in several threads at once.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    counts = sample_counts(state.probabilities(), shots, stream_rng(seed))
+    counts = sample_counts(state.probabilities(), shots, rekey(_measure_rng(), seed))
     return {label: int(c) for label, c in zip(state.basis_labels, counts)}
 
 

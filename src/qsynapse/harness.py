@@ -39,7 +39,7 @@ from .lif import (
     window_stride,
 )
 from .rng import stream_rng
-from .scenario import FusionScenario, QuantumRunConfig, ScenarioConfig
+from .scenario import FUSION_SETTLE_DT_MS, FusionScenario, QuantumRunConfig, ScenarioConfig
 from .spikes import RateProfile, generate_poisson, merge_trains
 from .synapse import SynapseCircuit, encode_up, run_circuit
 
@@ -424,7 +424,8 @@ def run_fusion_demo(
     if degenerate:
         fused, reference, tv = np.zeros(n_sensors), np.zeros(n_sensors), 1.0
     else:
-        psi_down = settle_circuit(circuit, encode_up(weighted), settle_ms, 0.1, params)
+        psi_down = settle_circuit(circuit, encode_up(weighted), settle_ms, FUSION_SETTLE_DT_MS,
+                                  params)
         fused = readout(circuit, psi_down, shots, fusion_measure_seed(seed)) / shots
         reference = ref_raw / ref_raw.sum()
         tv = total_variation(fused, reference)

@@ -224,18 +224,18 @@ def _advance(
     Returns (v_next, gs_next, crossed).  Raises on non-finite potentials.
     """
     n = v.shape[0]
-    # instantaneous spike jumps at the step boundary
-    if spike_counts.any():
-        gs = np.minimum(gs + params.delta_g * spike_counts, params.gs_max)
-        per_neuron = np.bincount(owner, weights=spike_counts, minlength=n)
-        v = v + params.spike_jump * per_neuron
-    tot_gs = np.bincount(owner, weights=gs, minlength=n)
-
     half = math.exp(-0.5 * dt / params.tau_syn)
     full = math.exp(-dt / params.tau_syn)
-    rhs = _make_rhs(tot_gs, gap_const, gap_g, drives, n_links, params)
     # divergence is diagnosed explicitly below; let inf/nan flow through
     with np.errstate(invalid="ignore", over="ignore"):
+        # instantaneous spike jumps at the step boundary, on the neurons that got a spike
+        # only: an infinite jump times zero spikes would turn the others into nan
+        if spike_counts.any():
+            gs = np.minimum(gs + params.delta_g * spike_counts, params.gs_max)
+            per_neuron = np.bincount(owner, weights=spike_counts, minlength=n)
+            v = np.where(per_neuron != 0, v + params.spike_jump * per_neuron, v)
+        tot_gs = np.bincount(owner, weights=gs, minlength=n)
+        rhs = _make_rhs(tot_gs, gap_const, gap_g, drives, n_links, params)
         if integrator == "rk4":
             k1 = rhs(v, 1.0)
             k2 = rhs(v + 0.5 * dt * k1, half)
@@ -394,7 +394,8 @@ def _step_floats(params, topology, counts, drives, v, dt, integrator, v_rec, gs_
                 s = 0.0
                 for l in ls:
                     s += c[l]
-                v[j] = v[j] + jump * s
+                if s:
+                    v[j] = v[j] + jump * s
         tot = []
         for ls in links:
             s = 0.0

@@ -23,6 +23,24 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def rekey(rng: np.random.Generator, seed: int, stream: int = 0) -> np.random.Generator:
+    """Reset a Philox-backed ``rng`` to the start of the (seed, stream) stream, in place.
+
+    Afterwards it draws exactly what a fresh ``stream_rng(seed, stream)``
+    draws: key (seed, stream), counter 0, an empty output buffer.  Setting
+    the state costs a fraction of building a new generator.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed & _U64, stream & _U64)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 # sample_counts draws this many uniforms at a time.  A Generator yields the
 # same stream whatever the block sizes, so the counts do not depend on it;
 # it bounds the memory of a large measurement (100000 shots in one block held

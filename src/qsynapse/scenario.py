@@ -22,6 +22,9 @@ from .lif import INTEGRATORS, LifParams, NetworkTopology, window_stride
 from .spikes import RateProfile
 from .synapse import SynapseCircuit, load_composition_table
 
+# the fusion demo settles its circuit in steps of this length, whatever fusion.dt_ms is
+FUSION_SETTLE_DT_MS = 0.1
+
 _LIF_KEYS = {
     "cm", "g_leak", "v_rest", "v_thres", "v_init", "e_syn", "tau_syn",
     "gs_max", "g_elec", "spike_jump", "delta_g", "g_elec_warn_bound",
@@ -74,13 +77,13 @@ def _string(value, path: str, choices=None) -> str:
     return value
 
 
-def _whole_steps(window_ms: float, dt_ms: float, path: str, dt_path: str) -> None:
-    """Windows are counted in integer steps, so a window must span whole steps."""
+def _whole_steps(duration_ms: float, dt_ms: float, path: str, dt_path: str) -> None:
+    """Durations are counted in integer steps, so each must span whole steps."""
     try:
-        window_stride(dt_ms, window_ms)
+        window_stride(dt_ms, duration_ms)
     except ValueError:
         raise ConfigError(
-            f"{path} ({window_ms}) must be a whole number of {dt_path} ({dt_ms}) steps"
+            f"{path} ({duration_ms}) must be a whole number of {dt_path} ({dt_ms}) steps"
         ) from None
 
 
@@ -453,12 +456,15 @@ def _parse_fusion(block: dict) -> FusionConfig:
     window_ms = _number(block.get("window_ms", 5.0), "fusion.window_ms", strict_min=0.0)
     dt_ms = _number(block.get("dt_ms", 0.25), "fusion.dt_ms", strict_min=0.0)
     _whole_steps(window_ms, dt_ms, "fusion.window_ms", "fusion.dt_ms")
+    settle_ms = _number(block.get("settle_ms", 30.0), "fusion.settle_ms", strict_min=0.0)
+    _whole_steps(settle_ms, FUSION_SETTLE_DT_MS, "fusion.settle_ms",
+                 "the fusion settle step")
     return FusionConfig(
         scenario=scenario,
         window_ms=window_ms,
         dt_ms=dt_ms,
         shots=_integer(block.get("shots", 100_000), "fusion.shots", minimum=1),
-        settle_ms=_number(block.get("settle_ms", 30.0), "fusion.settle_ms", strict_min=0.0),
+        settle_ms=settle_ms,
         circuit=circuit,
     )
 
@@ -474,6 +480,7 @@ def parse_config(raw: dict, base_dir: Path) -> ScenarioConfig:
     _no_unknown(sim, "simulation", {"dt_ms", "t_end_ms", "seed", "integrator"})
     dt_ms = _number(_require(sim, "simulation", "dt_ms"), "simulation.dt_ms", strict_min=0.0)
     t_end_ms = _number(_require(sim, "simulation", "t_end_ms"), "simulation.t_end_ms", strict_min=0.0)
+    _whole_steps(t_end_ms, dt_ms, "simulation.t_end_ms", "simulation.dt_ms")
     seed = _integer(_require(sim, "simulation", "seed"), "simulation.seed", minimum=0)
     integrator = _string(sim.get("integrator", "rk4"), "simulation.integrator", set(INTEGRATORS))
 

@@ -23,6 +23,7 @@ blank out blocked components.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -146,25 +147,37 @@ class TaggedState:
         object.__setattr__(self, "tags", tuple(self.tags))
 
 
+def _tag_mask(tags: Sequence[str], blocked: Iterable[str]) -> np.ndarray:
+    blocked_set = frozenset(blocked)
+    return np.array([tag in blocked_set for tag in tags])
+
+
+def _blank(amps: np.ndarray, where, message: str) -> np.ndarray:
+    """``amps`` with the components at ``where`` zeroed and the rest renormalized.
+
+    Returns ``amps`` itself when those components are already zero, and
+    raises ``message`` when nothing nonzero would remain.
+    """
+    if not amps[where].any():
+        return amps
+    out = amps.copy()
+    out[where] = 0.0
+    if not out.any():
+        raise DegenerateStateError(message)
+    return normalized_amplitudes(out)
+
+
 def gate_by_tag(tagged: TaggedState, blocked: Iterable[str]) -> TaggedState:
     """Zero every component whose tag is blocked, renormalize, keep tags.
 
     Bitwise idempotent: when no nonzero amplitude is affected the input is
     returned unchanged.
     """
-    blocked_set = frozenset(blocked)
     amps = tagged.state.amplitudes
-    mask = np.array([tag in blocked_set for tag in tagged.tags])
-    if not (mask & (amps != 0)).any():
+    out = _blank(amps, _tag_mask(tagged.tags, blocked), "every component is blocked by tag")
+    if out is amps:
         return tagged
-    out = amps.copy()
-    out[mask] = 0.0
-    if not out.any():
-        raise DegenerateStateError("every component is blocked by tag")
-    return TaggedState(
-        QuantumState(normalized_amplitudes(out), tagged.state.basis_labels),
-        tagged.tags,
-    )
+    return TaggedState(QuantumState(out, tagged.state.basis_labels), tagged.tags)
 
 
 # ---------------------------------------------------------------------------
@@ -297,45 +310,111 @@ def gate_up(
     return classically_controlled_not(state, link_pair, v_now > v_thres)
 
 
-def _drive_delta(
-    drive: np.ndarray, v_now: float, params: LifParams, drive_scale: float, dt: float
-) -> np.ndarray:
-    delta = dt * drive.astype(complex)
-    delta[0] += dt * (1j * drive_scale * (params.g_leak / params.cm) * (v_now - params.v_rest))
-    return delta
+# ---------------------------------------------------------------------------
+# scalar circuit kernel
+# ---------------------------------------------------------------------------
+#
+# The circuit runs on lists of Python complex values, and every value is
+# formed by the same IEEE operations in the same order on every CPU:
+#   - a real step scales as complex(dt, 0.0) * x, which is how numpy
+#     multiplies a complex array by a real scalar;
+#   - K @ down and coupling @ up sum each row's complex products from 0j
+#     in column order, and b_weights * coupled is one complex product per
+#     component; every product and sum is rounded on its own (Python never
+#     fuses a multiply-add);
+#   - the squared norm is summed in numpy's pairwise order, and a state is
+#     scaled as numpy divides a complex vector by a real norm.
+# Circuits without K, coupling or b_weights therefore give numpy's bytes,
+# and circuits with them the unfused result, whatever FMA or BLAS kernel
+# numpy would dispatch to on the host.
 
 
-def _combine(base: np.ndarray, contribution: np.ndarray, stage: str) -> np.ndarray:
-    """base + contribution, renormalized; ``base`` itself when the contribution is zero."""
-    if not contribution.any():
-        return base
-    out = base + contribution
-    n2 = float(np.sum(out.real**2 + out.imag**2))
+def _pairwise_sum(a: list[float], lo: int, n: int) -> float:
+    """Sum of ``a[lo:lo + n]`` in the order ``np.sum`` adds a contiguous float64 array."""
+    if n < 8:
+        s = 0.0
+        for i in range(lo, lo + n):
+            s += a[i]
+        return s
+    if n <= 128:
+        r = a[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += a[i + j]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            s += a[i]
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
+
+
+def _normalized(out: list[complex], stage: str) -> list[complex]:
+    """``out / sqrt(sum |z|^2)`` as numpy computes it; raises naming ``stage`` on a zero state."""
+    if len(out) < 8:  # _pairwise_sum's sequential branch, without the list of squares
+        n2 = 0.0
+        for z in out:
+            n2 += z.real * z.real + z.imag * z.imag
+    else:
+        n2 = _pairwise_sum([z.real * z.real + z.imag * z.imag for z in out], 0, len(out))
     if n2 == 0.0:
         raise DegenerateStateError(f"{stage} collapsed to the zero state")
-    return out / np.sqrt(n2)
+    # numpy's complex division by (s, 0): rat = 0.0, scl = 1/(s + 0.0*rat)
+    scl = 1.0 / math.sqrt(n2)
+    return [complex((z.real + z.imag * 0.0) * scl, (z.imag - z.real * 0.0) * scl) for z in out]
 
 
-def _euler_step(
-    state: np.ndarray, drive: np.ndarray, v_now: float, params: LifParams,
-    drive_scale: float, dt: float, stage: str = "downstream evolution step",
-) -> np.ndarray:
-    """One renormalized Euler step of ``state``; ``state`` itself when the step is zero."""
-    return _combine(state, _drive_delta(drive, v_now, params, drive_scale, dt), stage)
+def _combine(base: list[complex], contribution: list[complex], stage: str) -> list[complex]:
+    """base + contribution, renormalized; ``base`` itself when the contribution is zero."""
+    if not any(contribution):
+        return base
+    return _normalized([a + b for a, b in zip(base, contribution)], stage)
 
 
-def _round_trip(
-    circuit: SynapseCircuit, up: np.ndarray, down: np.ndarray, v_now: float,
-    params: LifParams, dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def _matvec(m: list[list[complex]], x: list[complex]) -> list[complex]:
+    out = []
+    for row in m:
+        s = 0j
+        for a, b in zip(row, x):
+            s += a * b
+        out.append(s)
+    return out
+
+
+def _euler_step(state: list[complex], drive: list[complex], dtc: complex, kick: complex,
+                stage: str) -> list[complex]:
+    """One renormalized Euler step: ``state + dt*drive``, plus ``kick`` on component 0."""
+    delta = [dtc * d for d in drive]
+    delta[0] += kick
+    return _combine(state, delta, stage)
+
+
+def _drive_rate(params: LifParams, drive_scale: float) -> complex:
+    """i * drive_scale * g_leak/cm: the step's kick on component 0 is dt*(rate*(v - v_rest))."""
+    return 1j * drive_scale * (params.g_leak / params.cm)
+
+
+def _operands(circuit: SynapseCircuit):
+    """(K, coupling, b_weights) of ``circuit`` as nested lists of complex, None where absent."""
+    k = circuit.k_operator
+    return (
+        None if k is None else k.entries.tolist(),
+        None if circuit.coupling is None else circuit.coupling.tolist(),
+        None if circuit.b_weights is None else circuit.b_weights.tolist(),
+    )
+
+
+def _round_trip(up, down, dtc, kick, k, coupling, b):
     """Feedback mix, upstream drive step, downstream combination (see bidirectional_step)."""
-    if circuit.k_operator is not None:
-        up = _combine(up, circuit.k_operator.entries @ down, "feedback mix")
-    up = _euler_step(up, down, v_now, params, circuit.drive_scale, dt, "upstream drive step")
-    if circuit.b_weights is None:
+    if k is not None:
+        up = _combine(up, _matvec(k, down), "feedback mix")
+    up = _euler_step(up, down, dtc, kick, "upstream drive step")
+    if b is None:
         return up, down
-    coupled = up if circuit.coupling is None else circuit.coupling @ up
-    return up, _combine(down, circuit.b_weights * coupled, "downstream combination")
+    coupled = up if coupling is None else _matvec(coupling, up)
+    return up, _combine(down, [w * c for w, c in zip(b, coupled)], "downstream combination")
 
 
 def evolve_down(
@@ -356,16 +435,18 @@ def evolve_down(
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if psi_up is None:
-        drive = np.zeros(psi_down.dim, dtype=complex)
+        drive = [0j] * psi_down.dim
     else:
         if psi_down.dim != psi_up.dim:
             raise ValueError(
                 f"state dimensions differ: {psi_down.dim} != {psi_up.dim}; map the "
                 "upstream state through the coupling first"
             )
-        drive = psi_up.amplitudes
-    out = _euler_step(psi_down.amplitudes, drive, v_now, params, drive_scale, dt)
-    if out is psi_down.amplitudes:
+        drive = psi_up.amplitudes.tolist()
+    down = psi_down.amplitudes.tolist()
+    kick = dt * (_drive_rate(params, drive_scale) * (v_now - params.v_rest))
+    out = _euler_step(down, drive, complex(dt, 0.0), kick, "downstream evolution step")
+    if out is down:
         return psi_down
     return QuantumState(out, psi_down.basis_labels)
 
@@ -398,11 +479,14 @@ def bidirectional_step(
     if circuit.mode != "bidirectional":
         raise ValueError("circuit is not bidirectional")
     _check_circuit_states(circuit, psi_up, psi_down, dt)
-    up, down = _round_trip(circuit, psi_up.amplitudes, psi_down.amplitudes, v_now, params, dt)
+    down = psi_down.amplitudes.tolist()
+    kick = dt * (_drive_rate(params, circuit.drive_scale) * (v_now - params.v_rest))
+    up, down2 = _round_trip(psi_up.amplitudes.tolist(), down, complex(dt, 0.0), kick,
+                            *_operands(circuit))
     psi_up2 = QuantumState(up, psi_up.basis_labels)
-    if down is psi_down.amplitudes:
+    if down2 is down:
         return psi_up2, psi_down
-    return psi_up2, QuantumState(down, psi_down.basis_labels)
+    return psi_up2, QuantumState(down2, psi_down.basis_labels)
 
 
 def run_circuit(
@@ -422,7 +506,8 @@ def run_circuit(
     bidirectional mode runs the feedback round trip.  ``up_record`` is the
     round trip's combined upstream state, or the gated encoding in one-way
     mode; the next step keeps the gated encoding either way.  The loop runs
-    on raw amplitude arrays: states are validated at entry and exit only.
+    on lists of Python complex values in the fixed order described above
+    ``_pairwise_sum``: states are validated at entry and exit only.
     """
     _check_circuit_states(circuit, psi_up, psi_down, dt)
     if circuit.coupling is None and circuit.up_dim != circuit.down_dim:
@@ -432,16 +517,21 @@ def run_circuit(
         if i == j or not (0 <= i < circuit.up_dim and 0 <= j < circuit.up_dim):
             raise ValueError(f"gate_pair {gate_pair} invalid for dimension {circuit.up_dim}")
     bidirectional = circuit.mode == "bidirectional"
-    up = record = psi_up.amplitudes
-    down = psi_down.amplitudes
+    k, coupling, b = _operands(circuit)
+    dtc = complex(dt, 0.0)
+    rate = _drive_rate(params, circuit.drive_scale)
+    v_rest, v_thres = params.v_rest, params.v_thres
+    up = record = psi_up.amplitudes.tolist()
+    down = psi_down.amplitudes.tolist()
     for v_now in np.asarray(potentials, dtype=float).tolist():
-        if gate_pair is not None and v_now > params.v_thres:
+        if gate_pair is not None and v_now > v_thres:
             up = up.copy()
             up[i], up[j] = up[j], up[i]
-        drive = up if circuit.coupling is None else normalized_amplitudes(circuit.coupling @ up)
-        down = _euler_step(down, drive, v_now, params, circuit.drive_scale, dt)
+        drive = up if coupling is None else _normalized(_matvec(coupling, up), "coupled drive")
+        kick = dt * (rate * (v_now - v_rest))
+        down = _euler_step(down, drive, dtc, kick, "downstream evolution step")
         if bidirectional:
-            record, down = _round_trip(circuit, up, down, v_now, params, dt)
+            record, down = _round_trip(up, down, dtc, kick, k, coupling, b)
         else:
             record = up
     return (
@@ -454,10 +544,26 @@ def shutdown_link(state: QuantumState, link: int) -> QuantumState:
     """Force one component to exactly zero and renormalize the rest."""
     if not 0 <= link < state.dim:
         raise ValueError(f"link {link} out of range for dimension {state.dim}")
-    if state.amplitudes[link] == 0:
-        return state
-    out = state.amplitudes.copy()
-    out[link] = 0.0
-    if not out.any():
-        raise DegenerateStateError(f"link {link} is the only nonzero component")
-    return QuantumState(normalized_amplitudes(out), state.basis_labels)
+    out = _blank(state.amplitudes, link, f"link {link} is the only nonzero component")
+    return state if out is state.amplitudes else QuantumState(out, state.basis_labels)
+
+
+def measured_state(
+    circuit: SynapseCircuit,
+    psi_down: QuantumState,
+    tags: Sequence[str] | None = None,
+    blocked_tags: Sequence[str] = (),
+) -> QuantumState:
+    """The state a measurement sees: ``shutdown_link`` per shutdown link, then ``gate_by_tag``.
+
+    Works on the raw amplitudes and validates one state at the end, or
+    returns ``psi_down`` itself when neither step changes it.
+    """
+    amps = psi_down.amplitudes
+    for link in circuit.shutdown_links:
+        amps = _blank(amps, link, f"link {link} is the only nonzero component")
+    if tags is not None and blocked_tags:
+        if len(tags) != psi_down.dim:
+            raise ValueError("tags length must equal the state dimension")
+        amps = _blank(amps, _tag_mask(tags, blocked_tags), "every component is blocked by tag")
+    return psi_down if amps is psi_down.amplitudes else QuantumState(amps, psi_down.basis_labels)

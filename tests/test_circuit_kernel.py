@@ -2,10 +2,15 @@
 
 The oracle is the loop the kernel replaced: gate_up, the coupled drive,
 one Euler step of the downstream state and the feedback round trip, each
-building a validated QuantumState.  Its Euler step and round trip are
-spelled out here as they were before the kernel existed, so the kernel,
-the public evolve_down/bidirectional_step shells and the window runner are
-all held bitwise to that arithmetic.
+building a validated QuantumState.  Its sums, real scalings and
+normalizations are numpy calls, spelled as they were before the scalar
+kernel existed, so circuits without K, coupling or b_weights are held
+bitwise to numpy.  Its K @ down, coupling @ up and b_weights * coupled
+products are written out in real arithmetic (each row summed from zero in
+column order, nothing fused), so circuits with them are held bitwise to the
+kernel's documented order and not to whichever kernel numpy dispatches to.
+The public evolve_down/bidirectional_step shells and the window runner are
+checked against the same oracle.
 """
 
 import dataclasses
@@ -34,13 +39,28 @@ from qsynapse import (
     shutdown_link,
     simulate_network,
 )
-from qsynapse.engine import normalized_amplitudes
 from qsynapse.harness import run_quantum_windows, window_measure_seed
 from qsynapse.lif import window_crossings
 from qsynapse.scenario import QuantumRunConfig
-from qsynapse.synapse import run_circuit
+from qsynapse.synapse import _pairwise_sum, run_circuit
 
 PARAMS = LifParams(spike_jump=16.0, v_init=-65.0)
+
+
+def plain_product(a: complex, b: complex) -> complex:
+    return complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def plain_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x with each row summed from 0.0 in column order, every operation rounded."""
+    out = []
+    for row in m.tolist():
+        re = im = 0.0
+        for a, b in zip(row, x.tolist()):
+            p = plain_product(a, b)
+            re, im = re + p.real, im + p.imag
+        out.append(complex(re, im))
+    return np.array(out, dtype=complex)
 
 
 def _drive_delta(drive, v_now, params, drive_scale, dt):
@@ -49,43 +69,42 @@ def _drive_delta(drive, v_now, params, drive_scale, dt):
     return delta
 
 
-def _combine(base, contribution, stage):
-    if not contribution.any():
-        return None
-    out = base + contribution
+def _normalized(out, stage):
     n2 = float(np.sum(out.real**2 + out.imag**2))
     if n2 == 0.0:
         raise DegenerateStateError(f"{stage} collapsed to the zero state")
     return out / np.sqrt(n2)
 
 
+def _combine(base, contribution, stage):
+    if not contribution.any():
+        return None
+    return _normalized(base + contribution, stage)
+
+
 def oracle_evolve_down(psi_down, psi_up, v_now, params, drive_scale, dt):
     delta = _drive_delta(psi_up.amplitudes, v_now, params, drive_scale, dt)
-    if not delta.any():
-        return psi_down
-    try:
-        out = normalized_amplitudes(psi_down.amplitudes + delta)
-    except DegenerateStateError as err:
-        raise DegenerateStateError(f"downstream evolution step collapsed: {err}") from err
-    return QuantumState(out, psi_down.basis_labels)
+    out = _combine(psi_down.amplitudes, delta, "downstream evolution step")
+    return psi_down if out is None else QuantumState(out, psi_down.basis_labels)
 
 
 def oracle_bidirectional_step(circuit, psi_up, psi_down, v_now, params, dt):
     if circuit.k_operator is None:
         feedback = np.zeros(circuit.up_dim, dtype=complex)
     else:
-        feedback = circuit.k_operator.entries @ psi_down.amplitudes
+        feedback = plain_matvec(circuit.k_operator.entries, psi_down.amplitudes)
     mixed = _combine(psi_up.amplitudes, feedback, "feedback mix")
     up2 = psi_up.amplitudes if mixed is None else mixed
     delta = _drive_delta(psi_down.amplitudes, v_now, params, circuit.drive_scale, dt)
     stepped = _combine(up2, delta, "upstream drive step")
     up2 = up2 if stepped is None else stepped
     psi_up2 = QuantumState(up2, psi_up.basis_labels)
-    coupled = up2 if circuit.coupling is None else circuit.coupling @ up2
+    coupled = up2 if circuit.coupling is None else plain_matvec(circuit.coupling, up2)
     if circuit.b_weights is None:
         weighted = np.zeros(circuit.down_dim, dtype=complex)
     else:
-        weighted = circuit.b_weights * coupled
+        weighted = np.array([plain_product(w, c) for w, c in
+                             zip(circuit.b_weights.tolist(), coupled.tolist())], dtype=complex)
     combined = _combine(psi_down.amplitudes, weighted, "downstream combination")
     if combined is None:
         return psi_up2, psi_down
@@ -106,8 +125,9 @@ def oracle_circuit(circuit, psi_up, psi_down, potentials, params, dt, gate_pair)
         if circuit.coupling is None:
             drive = psi_up
         else:
-            drive = QuantumState.from_amplitudes(
-                circuit.coupling @ psi_up.amplitudes, psi_down.basis_labels, normalize=True
+            drive = QuantumState(
+                _normalized(plain_matvec(circuit.coupling, psi_up.amplitudes), "coupled drive"),
+                psi_down.basis_labels,
             )
         stepped = oracle_evolve_down(psi_down, drive, v_now, params, circuit.drive_scale, dt)
         assert same_bits(evolve_down(psi_down, drive, v_now, params, circuit.drive_scale, dt),
@@ -133,14 +153,16 @@ def _random_state(rng, dim):
 
 @st.composite
 def circuits(draw, up_dim=None, down_dim=None):
-    """Random circuits over every feedback, coupling and weight variant."""
+    """Random circuits: half without K, coupling or b_weights, half over every variant."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mode = draw(st.sampled_from(["unidirectional", "bidirectional"]))
-    up_dim = draw(st.integers(1, 5)) if up_dim is None else up_dim
-    with_coupling = draw(st.booleans())
+    # up to 20 components, so that norms are also summed with numpy's 8 accumulators
+    up_dim = draw(st.integers(1, 20)) if up_dim is None else up_dim
+    products = draw(st.booleans())
+    with_coupling = products and draw(st.booleans())
     if down_dim is None:
         free = with_coupling and mode == "unidirectional"
-        down_dim = draw(st.integers(1, 5)) if free else up_dim
+        down_dim = draw(st.integers(1, 20)) if free else up_dim
     if down_dim != up_dim:
         with_coupling = True
     coupling = None
@@ -148,7 +170,7 @@ def circuits(draw, up_dim=None, down_dim=None):
         coupling = (rng.standard_normal((down_dim, up_dim))
                     + 1j * rng.standard_normal((down_dim, up_dim)))
     k_operator = None
-    k_kind = draw(st.sampled_from(["none", "zero", "hermitian", "unitary"]))
+    k_kind = draw(st.sampled_from(["none", "zero", "hermitian", "unitary"])) if products else "none"
     if k_kind != "none" and down_dim == up_dim:
         a = rng.standard_normal((down_dim, down_dim)) + 1j * rng.standard_normal((down_dim, down_dim))
         h = OperatorMatrix(0.3 * (a + a.conj().T), kind="hermitian")
@@ -159,13 +181,13 @@ def circuits(draw, up_dim=None, down_dim=None):
             k_operator = h
         else:
             k_operator = expm_hermitian(h, 1.0)
-    b_kind = draw(st.sampled_from(["none", "zero", "random"]))
+    b_kind = draw(st.sampled_from(["none", "zero", "random"])) if products else "none"
     b_weights = {"none": None, "zero": np.zeros(down_dim),
                  "random": 0.4 * (rng.standard_normal(down_dim)
                                   + 1j * rng.standard_normal(down_dim))}[b_kind]
     circuit = SynapseCircuit(
         up_dim=up_dim, down_dim=down_dim, mode=mode, k_operator=k_operator,
-        coupling=coupling, drive_scale=draw(st.sampled_from([1.0, 0.7])),
+        coupling=coupling, drive_scale=draw(st.floats(0.05, 2.0)),
         b_weights=b_weights,
     )
     gate_pair = None
@@ -212,6 +234,16 @@ def test_run_circuit_matches_per_step_oracle_bitwise(drawn, potentials, dt):
         one_way = dataclasses.replace(circuit, mode="unidirectional")
         _, uni_down = run_circuit(one_way, psi_up, psi_down, potentials, PARAMS, dt, gate_pair)
         assert same_bits(uni_down, got_down)
+
+
+@pytest.mark.parametrize("n", [*range(0, 41), 127, 128, 129, 255, 300, 1001, 4096])
+def test_pairwise_sum_adds_in_numpy_order(n):
+    """Squared magnitudes, as the kernel sums them; ten draws per length, because another
+    order of additions changes the last bit of only some sums."""
+    for k in range(10):
+        rng = np.random.default_rng([n, k])
+        a = rng.standard_normal(n) ** 2 + rng.standard_normal(n) ** 2
+        assert _pairwise_sum(a.tolist(), 0, n) == float(np.sum(a)), k
 
 
 def test_run_circuit_validates_at_entry():

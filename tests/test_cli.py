@@ -174,3 +174,17 @@ def test_validate_rejects_quantum_shutdown_of_every_link(tmp_path, capsys):
     )
     assert main(["validate", "--config", str(path)]) == 1
     assert "quantum: shutdown_links [1, 0] cover every downstream link" in capsys.readouterr().err
+
+
+def test_validate_rejects_durations_that_are_not_whole_steps(tmp_path, capsys):
+    """t_end_ms 1.05 at dt_ms 0.1 would simulate 1.0 ms and drop later spikes; a fusion
+    settle of 0.25, 0.35 or 0.05 ms would run 2, 3 or 1 settle steps of 0.1 ms."""
+    path = good_config(tmp_path, simulation={"dt_ms": 0.1, "t_end_ms": 1.05, "seed": 4})
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "simulation.t_end_ms (1.05) must be a whole number" in capsys.readouterr().err
+    for settle_ms in (0.25, 0.35, 0.05):
+        path = good_config(tmp_path, fusion=dict(_fusion_block([]), settle_ms=settle_ms))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert f"fusion.settle_ms ({settle_ms}) must be a whole number" in capsys.readouterr().err
+    path = good_config(tmp_path, fusion=dict(_fusion_block([]), settle_ms=0.3))
+    assert main(["validate", "--config", str(path), "--quiet"]) == 0

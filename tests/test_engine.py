@@ -303,6 +303,18 @@ class TestMeasure:
         assert counts[[0, 2, 5]].tolist() == [0, 0, 0]
 
 
+    def test_counts_equal_a_fresh_stream_per_call(self):
+        """measure re-keys one generator per call; the counts are those of a generator built
+        for the seed, whatever seed the previous call used and however far it drew."""
+        st_ = QuantumState.from_amplitudes([0.1, 0.7, 0.0, 0.4, 0.5], normalize=True)
+        p = st_.probabilities()
+        seeds = [0, 2**63, 5, 2**63 + 1, 2**64 - 1, 5, 2**63, window_measure_seed(2**63 + 7, 3)]
+        for k, seed in enumerate(seeds):
+            shots = (1, 999, SHOT_BLOCK + 3)[k % 3]
+            want = sample_counts(p, shots, stream_rng(seed)).tolist()
+            assert list(measure(st_, shots, seed).values()) == want, seed
+
+
 class TestMeasureConvergence:
     def test_total_variation_shrinks_with_shots(self):
         # TV to the true distribution < 4*sqrt(d/shots) in >= 99% of seeds

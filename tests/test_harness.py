@@ -384,6 +384,15 @@ class TestGoldenScenario:
                 "changed intentionally, bump TRACE_FORMAT_VERSION and regenerate"
             )
 
+    def test_feedback_circuit_matches_checked_in_golden_bytes(self, tmp_path):
+        """K, coupling and b_weights: their products are summed in one fixed order, so these
+        bytes are the same whichever SIMD, BLAS or libm kernels the host dispatches to."""
+        golden = self.GOLDEN / "feedback"
+        out = run_scenario(load_config(golden / "scenario.json"), out_dir=str(tmp_path / "run"),
+                           quiet=True)
+        for name in ("quantum.csv", "calibration.csv"):
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
     def test_fusion_matches_checked_in_golden_bytes(self, tmp_path):
         config = self.GOLDEN / "fusion_scenario.json"
         assert main(["fuse", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0

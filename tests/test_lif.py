@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -499,19 +500,21 @@ def test_float_loop_matches_oracle_over_a_long_run(integrator, literal):
     assert _same_bits(traj.spike_neurons, np.array(ev_neurons, dtype=np.intp))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("n", [3, FLOAT_LOOP_MAX_NEURONS + 4])
 def test_divergence_partial_matches_truncated_run(n):
     """Two 1e308 jumps overflow neuron n-1 at step 7, while neuron 0 crosses in that same
-    step on one finite jump; the error names n-1 and 0.7 ms, and its partial recording
-    (without that step's crossing) equals a run that stops before step 7."""
+    step on one finite jump; the error names n-1 and 0.7 ms, no warning escapes, and its
+    partial recording (without that step's crossing) equals a run that stops before step 7."""
     p = LifParams(spike_jump=1e308)
     topo = NetworkTopology.build(n, [[k] for k in range(n)], [(k, k + 1, 0.01) for k in range(n - 1)])
     dt = 0.1
     early = [(0.25, 1), (0.45, 0)]
     events = early + [(0.75, 0), (0.75, n - 1), (0.76, n - 1)]
-    with pytest.raises(NumericalDivergenceError) as info:
-        simulate_network(p, topo, events, 2.0, dt, drives=[0.5] * n)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalDivergenceError) as info:
+            simulate_network(p, topo, events, 2.0, dt, drives=[0.5] * n)
+    assert [str(w.message) for w in caught] == []
     err = info.value
     assert (err.neuron, err.time_ms) == (n - 1, 7 * dt)
     ref = simulate_network(p, topo, early, 7 * dt, dt, drives=[0.5] * n)
@@ -520,6 +523,18 @@ def test_divergence_partial_matches_truncated_run(n):
     for name in ("times", "v", "gs", "spike_steps", "spike_neurons"):
         assert _same_bits(getattr(part, name), getattr(ref, name)), name
     assert part.spike_steps.tolist() == [2, 4] and part.spike_neurons.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("n", [3, FLOAT_LOOP_MAX_NEURONS + 4])
+def test_infinite_jump_names_the_neuron_that_got_the_spike(n):
+    """Neurons without a spike keep their potential, so neither loop reports one of them."""
+    topo = NetworkTopology.build(n, [[k] for k in range(n)], [(k, k + 1, 0.01) for k in range(n - 1)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalDivergenceError, match=f"neuron {n - 1} at t = 0.5") as info:
+            simulate_network(LifParams(spike_jump=math.inf), topo, [(0.55, n - 1)], 2.0, 0.1)
+    assert [str(w.message) for w in caught] == []
+    assert np.isfinite(info.value.partial.v).all()
 
 
 @pytest.mark.parametrize("n", [3, FLOAT_LOOP_MAX_NEURONS + 4])
