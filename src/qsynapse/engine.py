@@ -14,7 +14,7 @@ operations.
 
 from __future__ import annotations
 
-import functools
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -259,17 +259,26 @@ def rotation_operator(spec: RotationSpec) -> OperatorMatrix:
     return expm_hermitian(OperatorMatrix(h, kind="hermitian"), -spec.angle)
 
 
-@functools.cache
+_measure_local = threading.local()
+
+
 def _measure_rng() -> np.random.Generator:
-    # made on the first measurement, so that importing the package does not load numpy.random
-    return stream_rng(0)
+    """This thread's measurement generator, made on its first measurement.
+
+    One generator per thread lets concurrent calls re-key without racing, and
+    making it lazily keeps numpy.random out of the package import.
+    """
+    rng = getattr(_measure_local, "rng", None)
+    if rng is None:
+        rng = _measure_local.rng = stream_rng(0)
+    return rng
 
 
 def measure(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
     """Histogram of ``shots`` i.i.d. basis draws; deterministic given seed.
 
-    The draws are those of ``stream_rng(seed)``, taken from one generator
-    that every call re-keys, so calls must not run in several threads at once.
+    The draws are those of ``stream_rng(seed)``, taken from the calling
+    thread's generator re-keyed to ``seed``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

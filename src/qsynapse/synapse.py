@@ -353,12 +353,7 @@ def _pairwise_sum(a: list[float], lo: int, n: int) -> float:
 
 def _normalized(out: list[complex], stage: str) -> list[complex]:
     """``out / sqrt(sum |z|^2)`` as numpy computes it; raises naming ``stage`` on a zero state."""
-    if len(out) < 8:  # _pairwise_sum's sequential branch, without the list of squares
-        n2 = 0.0
-        for z in out:
-            n2 += z.real * z.real + z.imag * z.imag
-    else:
-        n2 = _pairwise_sum([z.real * z.real + z.imag * z.imag for z in out], 0, len(out))
+    n2 = _pairwise_sum([z.real * z.real + z.imag * z.imag for z in out], 0, len(out))
     if n2 == 0.0:
         raise DegenerateStateError(f"{stage} collapsed to the zero state")
     # numpy's complex division by (s, 0): rat = 0.0, scl = 1/(s + 0.0*rat)

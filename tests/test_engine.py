@@ -314,6 +314,19 @@ class TestMeasure:
             want = sample_counts(p, shots, stream_rng(seed)).tolist()
             assert list(measure(st_, shots, seed).values()) == want, seed
 
+    def test_threads_measuring_at_once_match_serial_calls(self):
+        """Each thread re-keys its own generator, so concurrent calls with different seeds,
+        each drawing several blocks, give the counts of serial calls."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        st_ = QuantumState.from_amplitudes([0.1, 0.7, 0.0, 0.4, 0.5], normalize=True)
+        shots = 3 * SHOT_BLOCK + 5
+        seeds = [2**63 + k if k % 2 else k for k in range(24)]
+        serial = [measure(st_, shots, seed) for seed in seeds]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(pool.map(lambda seed: measure(st_, shots, seed), seeds))
+        assert parallel == serial
+
 
 class TestMeasureConvergence:
     def test_total_variation_shrinks_with_shots(self):

@@ -386,7 +386,11 @@ class TestGoldenScenario:
 
     def test_feedback_circuit_matches_checked_in_golden_bytes(self, tmp_path):
         """K, coupling and b_weights: their products are summed in one fixed order, so these
-        bytes are the same whichever SIMD, BLAS or libm kernels the host dispatches to."""
+        bytes are the same whichever SIMD, BLAS or libm kernels the host dispatches to.
+
+        The scenario sets no gate_pair: the classically-controlled NOT cannot fire in a
+        scenario run (the recorded potential never exceeds v_thres), so a gate here would
+        look covered without ever swapping."""
         golden = self.GOLDEN / "feedback"
         out = run_scenario(load_config(golden / "scenario.json"), out_dir=str(tmp_path / "run"),
                            quiet=True)
