@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import QuantumState, measure
+from .engine import QuantumState, measure, uniform_amplitudes
 from .lif import Trajectory, measure_firing_probability, window_stride
-from .synapse import SynapseCircuit, encode_up, measured_state, run_circuit
+from .synapse import SynapseCircuit, blanked, blocked_components, encode_amplitudes, run_circuit
 
 MIN_WINDOWS = 100
 MIN_SHOTS = 10_000
@@ -74,34 +74,39 @@ class CalibrationReport:
 
 def readout(
     circuit: SynapseCircuit,
-    psi_down: QuantumState,
+    down: list[complex],
     shots: int,
     seed: int,
     tags: Sequence[str] | None = None,
     blocked_tags: Sequence[str] = (),
 ) -> np.ndarray:
-    """Measured counts in basis order: shutdowns, then the tag gate, then ``measure``."""
-    state = measured_state(circuit, psi_down, tags, blocked_tags)
-    counts = measure(state, shots, seed)
-    return np.array([counts[label] for label in state.basis_labels])
+    """Counts in basis order: ``down`` with its shutdown links blanked, then its blocked
+    tags, measured as the one validated state of the readout."""
+    for link in circuit.shutdown_links:
+        down = blanked(down, (link,), f"link {link} is the only nonzero component")
+    if tags is not None and blocked_tags:
+        if len(tags) != len(down):
+            raise ValueError("tags length must equal the state dimension")
+        down = blanked(down, blocked_components(tags, blocked_tags),
+                       "every component is blocked by tag")
+    counts = measure(QuantumState.from_amplitudes(down), shots, seed)
+    return np.array(list(counts.values()))
 
 
 def settle_circuit(
     circuit: SynapseCircuit,
-    psi_up: QuantumState,
+    probabilities: Sequence[float],
     window_ms: float,
     dt: float,
     params,
-) -> QuantumState:
-    """Run the circuit for one window at rest from a uniform downstream start.
-
-    Raises unless ``window_ms`` is a whole number of ``dt`` steps.
-    """
-    _, psi_down = run_circuit(
-        circuit, psi_up, QuantumState.uniform(circuit.down_dim),
+) -> list[complex]:
+    """Encode ``probabilities``, then run the circuit for one window at rest from a uniform
+    downstream start; raises unless ``window_ms`` is a whole number of ``dt`` steps."""
+    _, down = run_circuit(
+        circuit, encode_amplitudes(probabilities), uniform_amplitudes(circuit.down_dim),
         [params.v_rest] * window_stride(dt, window_ms), params, dt,
     )
-    return psi_down
+    return down
 
 
 def calibrate(
@@ -146,8 +151,8 @@ def calibrate(
         tv = ks = 1.0
     else:
         circuit.check_up_probabilities(p)
-        psi_down = settle_circuit(circuit, encode_up(p), window_ms, dt, trajectory.params)
-        freqs = readout(circuit, psi_down, shots, seeds[1]) / shots
+        down = settle_circuit(circuit, p, window_ms, dt, trajectory.params)
+        freqs = readout(circuit, down, shots, seeds[1]) / shots
         classical = p / p.sum()
         tv = total_variation(classical, freqs)
         ks = ks_statistic(classical, freqs)

@@ -92,6 +92,7 @@ def main(argv=None) -> int:
                 window_ms=fus.window_ms,
                 dt_ms=fus.dt_ms,
                 settle_ms=fus.settle_ms,
+                params=fus.params,
             )
             out = resolve_out_dir(config.output.dir, args.out)
             out.mkdir(parents=True, exist_ok=True)

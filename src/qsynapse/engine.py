@@ -9,11 +9,13 @@ seeded projective measurement.
 
 Every public operation either returns a state with | ||psi|| - 1 | < 1e-10
 or raises DegenerateStateError; non-normalized vectors exist only inside
-operations.
+operations.  ``normalized`` and ``squared_norm`` take every norm in one fixed
+order, the bytes of ``amps / np.sqrt(np.sum(re**2 + im**2))`` on every CPU.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,20 +35,51 @@ UNITARY_TOL = 1e-10
 OPERATOR_KINDS = ("general", "hermitian", "unitary")
 
 
-def _norm_sq(amps: np.ndarray) -> float:
-    return float(np.sum(amps.real**2 + amps.imag**2))
+def _pairwise_sum(a: list[float], lo: int, n: int) -> float:
+    """Sum of ``a[lo:lo + n]`` in the order ``np.sum`` adds a contiguous float64 array."""
+    if n < 8:
+        s = 0.0
+        for i in range(lo, lo + n):
+            s += a[i]
+        return s
+    if n <= 128:
+        r = a[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += a[i + j]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            s += a[i]
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
 
 
-def normalized_amplitudes(amps: np.ndarray) -> np.ndarray:
-    """Divide by the norm; zero vectors raise instead of renormalizing."""
-    n2 = _norm_sq(amps)
+def squared_norm(amps: Sequence[complex]) -> float:
+    return _pairwise_sum([z.real * z.real + z.imag * z.imag for z in amps], 0, len(amps))
+
+
+def normalized(amps: Sequence[complex], message: str) -> list[complex]:
+    """``amps / sqrt(sum |z|^2)`` as numpy computes it; raises ``message`` on a zero norm."""
+    n2 = squared_norm(amps)
     if n2 == 0.0:
-        raise DegenerateStateError("cannot normalize a zero-amplitude vector")
-    return amps / np.sqrt(n2)
+        raise DegenerateStateError(message)
+    # numpy's complex division by (s, 0): rat = 0.0, scl = 1/(s + 0.0*rat)
+    scl = 1.0 / math.sqrt(n2)
+    return [complex((z.real + z.imag * 0.0) * scl, (z.imag - z.real * 0.0) * scl) for z in amps]
 
 
-def default_labels(dim: int) -> tuple[str, ...]:
-    return tuple(str(k) for k in range(dim))
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every part of the complex array ``a`` is finite, tested on Python floats
+    (numpy's complex isfinite loop would add its code pages to each run's memory)."""
+    return all(map(math.isfinite, a.view(float).ravel().tolist()))
+
+
+def uniform_amplitudes(dim: int) -> list[complex]:
+    """The equal superposition over ``dim`` components, as a list of complex."""
+    return [complex(1.0 / math.sqrt(dim))] * dim
 
 
 @dataclass(frozen=True)
@@ -64,8 +97,8 @@ class QuantumState:
             raise ValueError(f"state dimension {amps.size} exceeds cap {MAX_STATE_DIM}")
         if len(self.basis_labels) != amps.size:
             raise ValueError("basis_labels length must match the state dimension")
-        norm = np.sqrt(_norm_sq(amps))
-        if abs(norm - 1.0) >= NORM_TOL:
+        norm = math.sqrt(squared_norm(amps.tolist()))
+        if not abs(norm - 1.0) < NORM_TOL:
             raise ValueError(f"state norm {norm} is not 1 within {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -80,8 +113,8 @@ class QuantumState:
     ) -> "QuantumState":
         arr = np.asarray(amps, dtype=complex)
         if normalize:
-            arr = normalized_amplitudes(arr)
-        return cls(arr, tuple(labels) if labels is not None else default_labels(arr.size))
+            arr = normalized(arr.tolist(), "cannot normalize a zero-amplitude vector")
+        return cls(arr, tuple(map(str, range(len(arr)))) if labels is None else tuple(labels))
 
     @classmethod
     def basis_state(cls, dim: int, index: int, labels: Sequence[str] | None = None) -> "QuantumState":
@@ -91,7 +124,7 @@ class QuantumState:
 
     @classmethod
     def uniform(cls, dim: int, labels: Sequence[str] | None = None) -> "QuantumState":
-        return cls.from_amplitudes(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex), labels)
+        return cls.from_amplitudes(uniform_amplitudes(dim), labels)
 
     @property
     def dim(self) -> int:
@@ -101,7 +134,7 @@ class QuantumState:
         return self.amplitudes.real**2 + self.amplitudes.imag**2
 
     def norm(self) -> float:
-        return float(np.sqrt(_norm_sq(self.amplitudes)))
+        return math.sqrt(squared_norm(self.amplitudes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -119,13 +152,15 @@ class OperatorMatrix:
             raise ValueError(f"operator dimension {m.shape[0]} exceeds cap {MAX_OPERATOR_DIM}")
         if self.kind not in OPERATOR_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
+        if not all_finite(m):
+            raise ValueError("operator entries must be finite")
         if self.kind == "hermitian":
             dev = np.linalg.norm(m - m.conj().T)
-            if dev >= HERMITIAN_TOL:
+            if not dev < HERMITIAN_TOL:
                 raise ValueError(f"declared hermitian but ||M - M^dagger||_F = {dev:.3e}")
         elif self.kind == "unitary":
             dev = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
-            if dev >= UNITARY_TOL:
+            if not dev < UNITARY_TOL:
                 raise ValueError(f"declared unitary but ||M^dagger M - I||_F = {dev:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -172,12 +207,12 @@ def apply_operator(
     """Apply M to the amplitudes, optionally renormalizing the result."""
     if op.dim != state.dim:
         raise ValueError(f"operator dimension {op.dim} != state dimension {state.dim}")
-    out = op.entries @ state.amplitudes
+    out = (op.entries @ state.amplitudes).tolist()
     if renormalize:
-        out = normalized_amplitudes(out)
+        out = normalized(out, "cannot normalize a zero-amplitude vector")
     else:
-        norm = np.sqrt(_norm_sq(out))
-        if abs(norm - 1.0) >= NORM_TOL:
+        norm = math.sqrt(squared_norm(out))
+        if not abs(norm - 1.0) < NORM_TOL:
             raise ValueError(
                 f"operator changed the norm to {norm}; pass renormalize=True "
                 "for non-unitary operators"
@@ -193,7 +228,7 @@ def expm_hermitian(h: OperatorMatrix, scale: float) -> OperatorMatrix:
     """
     m = h.entries
     dev = np.linalg.norm(m - m.conj().T)
-    if dev >= HERMITIAN_TOL:
+    if not dev < HERMITIAN_TOL:
         raise ValueError(f"matrix is not hermitian: ||M - M^dagger||_F = {dev:.3e}")
     try:
         eigvals, eigvecs = np.linalg.eigh(m)
@@ -205,7 +240,7 @@ def expm_hermitian(h: OperatorMatrix, scale: float) -> OperatorMatrix:
     phases = np.exp(1j * scale * eigvals)
     out = (eigvecs * phases) @ eigvecs.conj().T
     dev_u = np.linalg.norm(out.conj().T @ out - np.eye(h.dim))
-    if dev_u >= UNITARY_TOL:
+    if not dev_u < UNITARY_TOL:
         raise RuntimeError(
             f"exponential lost unitarity: ||U^dagger U - I||_F = {dev_u:.3e} "
             f"(||H||_F = {np.linalg.norm(m):.3e}, scale = {scale})"
@@ -235,14 +270,14 @@ class RotationSpec:
         ax = np.asarray(self.axis, dtype=float)
         if ax.shape != (3,):
             raise ValueError("axis must be a 3-vector")
-        if abs(np.linalg.norm(ax) - 1.0) >= 1e-12:
+        if not abs(np.linalg.norm(ax) - 1.0) < 1e-12:
             raise ValueError(f"axis must be unit length, got |axis| = {np.linalg.norm(ax)}")
         gens = tuple(np.asarray(g, dtype=complex) for g in self.generators)
         d = gens[0].shape[0]
         for g in gens:
             if g.shape != (d, d):
                 raise ValueError("generators must be square matrices of equal dimension")
-            if np.linalg.norm(g - g.conj().T) >= HERMITIAN_TOL:
+            if not np.linalg.norm(g - g.conj().T) < HERMITIAN_TOL:
                 raise ValueError("every generator component must be hermitian")
         object.__setattr__(self, "axis", ax)
         object.__setattr__(self, "generators", gens)

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__
 from .calibration import calibrate, readout, settle_circuit, total_variation
-from .engine import QuantumState
 from .engine import measure  # noqa: F401  (perfbench/spans.py traces harness.measure)
+from .engine import uniform_amplitudes
 from .errors import NumericalDivergenceError
 from .lif import (
     LifParams,
@@ -39,9 +39,10 @@ from .lif import (
     window_stride,
 )
 from .rng import stream_rng
-from .scenario import FUSION_SETTLE_DT_MS, FusionScenario, QuantumRunConfig, ScenarioConfig
+from .scenario import (FUSION_LIF, FUSION_SETTLE_DT_MS, FusionScenario, QuantumRunConfig,
+                       ScenarioConfig)
 from .spikes import RateProfile, generate_poisson, merge_trains
-from .synapse import SynapseCircuit, encode_up, run_circuit
+from .synapse import SynapseCircuit, encode_amplitudes, run_circuit
 
 TRACE_FORMAT_VERSION = 1
 OUT_ROOT_ENV = "QSYNAPSE_OUT"
@@ -120,7 +121,7 @@ def run_quantum_windows(
     running = np.cumsum(crossed.astype(float), axis=0) / np.arange(1, n_windows + 1)[:, None]
     potentials = traj.v[:, qcfg.potential_neuron]
 
-    psi_down = QuantumState.uniform(circuit.down_dim)
+    down = uniform_amplitudes(circuit.down_dim)
     records: list[WindowRecord] = []
     for w in range(n_windows):
         p = running[w]
@@ -130,15 +131,17 @@ def run_quantum_windows(
             counts = np.zeros(circuit.down_dim, dtype=int)
         else:
             circuit.check_up_probabilities(p)
-            up_record, psi_down = run_circuit(
-                circuit, encode_up(p, qcfg.phases), psi_down,
+            up_record, down = run_circuit(
+                circuit, encode_amplitudes(p, qcfg.phases), down,
                 potentials[w * stride:(w + 1) * stride], traj.params, dt, qcfg.gate_pair,
             )
-            up_probs = up_record.probabilities()
+            up_amps = np.array(up_record)
+            up_probs = up_amps.real**2 + up_amps.imag**2
             counts = readout(
-                circuit, psi_down, qcfg.shots, window_measure_seed(master_seed, w),
+                circuit, down, qcfg.shots, window_measure_seed(master_seed, w),
                 qcfg.tags, qcfg.blocked_tags,
             )
+        down_amps = np.array(down)
         records.append(
             WindowRecord(
                 index=w,
@@ -146,9 +149,9 @@ def run_quantum_windows(
                 prob_sum_up=prob_sum,
                 degenerate=prob_sum == 0.0,
                 up_probs=up_probs,
-                down_probs=psi_down.probabilities(),
+                down_probs=down_amps.real**2 + down_amps.imag**2,
                 counts=counts,
-                down_amplitudes=np.array(psi_down.amplitudes),
+                down_amplitudes=down_amps,
             )
         )
     return records
@@ -375,7 +378,7 @@ def run_fusion_demo(
     window_ms: float = 5.0,
     dt_ms: float = 0.25,
     settle_ms: float = 30.0,
-    params: LifParams | None = None,
+    params: LifParams = FUSION_LIF,
 ) -> FusionReport:
     """Fuse synthetic sensor streams through the synapse pipeline.
 
@@ -392,9 +395,6 @@ def run_fusion_demo(
             f"circuit dimensions ({circuit.up_dim}, {circuit.down_dim}) must match "
             f"the sensor count {n_sensors}"
         )
-    if params is None:
-        # any spike must force a crossing so the window indicator tracks detection
-        params = LifParams(spike_jump=20.0, v_init=-65.0)
     n_windows = len(scenario.event_truth)
     horizon = n_windows * window_ms
     truth = np.array(scenario.event_truth, dtype=bool)
@@ -424,9 +424,8 @@ def run_fusion_demo(
     if degenerate:
         fused, reference, tv = np.zeros(n_sensors), np.zeros(n_sensors), 1.0
     else:
-        psi_down = settle_circuit(circuit, encode_up(weighted), settle_ms, FUSION_SETTLE_DT_MS,
-                                  params)
-        fused = readout(circuit, psi_down, shots, fusion_measure_seed(seed)) / shots
+        down = settle_circuit(circuit, weighted, settle_ms, FUSION_SETTLE_DT_MS, params)
+        fused = readout(circuit, down, shots, fusion_measure_seed(seed)) / shots
         reference = ref_raw / ref_raw.sum()
         tv = total_variation(fused, reference)
     return FusionReport(

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .calibration import MIN_SHOTS, MIN_WINDOWS
 from .engine import load_operator_text
 from .errors import ConfigError
 from .lif import INTEGRATORS, LifParams, NetworkTopology, window_stride
@@ -24,6 +26,8 @@ from .synapse import SynapseCircuit, load_composition_table
 
 # the fusion demo settles its circuit in steps of this length, whatever fusion.dt_ms is
 FUSION_SETTLE_DT_MS = 0.1
+# fuse lays the lif block over these: any spike must force a crossing
+FUSION_LIF = LifParams(spike_jump=20.0, v_init=-65.0)
 
 _LIF_KEYS = {
     "cm", "g_leak", "v_rest", "v_thres", "v_init", "e_syn", "tau_syn",
@@ -48,6 +52,8 @@ def _number(value, path: str, *, minimum=None, strict_min=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
     v = float(value)
+    if not math.isfinite(v):
+        raise ConfigError(f"{path} must be finite, got {v}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{path} must be >= {minimum}, got {v}")
     if strict_min is not None and v <= strict_min:
@@ -77,10 +83,10 @@ def _string(value, path: str, choices=None) -> str:
     return value
 
 
-def _whole_steps(duration_ms: float, dt_ms: float, path: str, dt_path: str) -> None:
-    """Durations are counted in integer steps, so each must span whole steps."""
+def _whole_steps(duration_ms: float, dt_ms: float, path: str, dt_path: str) -> int:
+    """Steps in ``duration_ms``, which must be a whole number of ``dt_ms`` steps."""
     try:
-        window_stride(dt_ms, duration_ms)
+        return window_stride(dt_ms, duration_ms)
     except ValueError:
         raise ConfigError(
             f"{path} ({duration_ms}) must be a whole number of {dt_path} ({dt_ms}) steps"
@@ -100,7 +106,7 @@ def _complex_vector(values, path: str) -> np.ndarray:
     out = []
     for i, v in enumerate(values):
         if isinstance(v, (int, float)) and not isinstance(v, bool):
-            out.append(complex(v))
+            out.append(complex(_number(v, f"{path}[{i}]")))
         elif isinstance(v, list) and len(v) == 2:
             out.append(complex(_number(v[0], f"{path}[{i}][0]"), _number(v[1], f"{path}[{i}][1]")))
         else:
@@ -169,6 +175,7 @@ class FusionConfig:
     shots: int
     settle_ms: float
     circuit: SynapseCircuit
+    params: LifParams
 
 
 @dataclass(frozen=True)
@@ -240,7 +247,7 @@ def _parse_profiles(block: dict, topology: NetworkTopology) -> dict[int, RatePro
 
 
 def _parse_quantum(block: dict, topology: NetworkTopology, dt_ms: float,
-                   t_end_ms: float, base_dir: Path) -> QuantumRunConfig | None:
+                   n_steps: int, base_dir: Path) -> QuantumRunConfig | None:
     allowed = {
         "enabled", "mode", "window_ms", "shots", "drive_scale", "encode_neurons",
         "down_dim", "potential_neuron", "gate_pair", "phases", "b_weights",
@@ -252,8 +259,7 @@ def _parse_quantum(block: dict, topology: NetworkTopology, dt_ms: float,
         return None
     window_ms = _number(_require(block, "quantum", "window_ms"), "quantum.window_ms", strict_min=0.0)
     shots = _integer(_require(block, "quantum", "shots"), "quantum.shots", minimum=1)
-    _whole_steps(window_ms, dt_ms, "quantum.window_ms", "simulation.dt_ms")
-    if t_end_ms / window_ms + 1e-9 < 1.0:
+    if _whole_steps(window_ms, dt_ms, "quantum.window_ms", "simulation.dt_ms") > n_steps:
         raise ConfigError("quantum.window_ms exceeds the simulated duration")
 
     if "encode_neurons" in block and block["encode_neurons"] is not None:
@@ -387,19 +393,19 @@ def _parse_quantum(block: dict, topology: NetworkTopology, dt_ms: float,
     )
 
 
-def _parse_calibration(block: dict, dt_ms: float, t_end_ms: float,
+def _parse_calibration(block: dict, dt_ms: float, n_steps: int,
                        topology: NetworkTopology) -> CalibrationConfig | None:
     _no_unknown(block, "calibration", {"enabled", "window_ms", "shots", "epsilon", "link_neurons"})
     if not _boolean(block.get("enabled", False), "calibration.enabled"):
         return None
     window_ms = _number(_require(block, "calibration", "window_ms"),
                         "calibration.window_ms", strict_min=0.0)
-    shots = _integer(block.get("shots", 100_000), "calibration.shots", minimum=10_000)
+    shots = _integer(block.get("shots", 100_000), "calibration.shots", minimum=MIN_SHOTS)
     epsilon = _number(block.get("epsilon", 0.02), "calibration.epsilon", strict_min=0.0)
-    _whole_steps(window_ms, dt_ms, "calibration.window_ms", "simulation.dt_ms")
-    if t_end_ms / window_ms + 1e-9 < 100:
+    stride = _whole_steps(window_ms, dt_ms, "calibration.window_ms", "simulation.dt_ms")
+    if n_steps // stride < MIN_WINDOWS:
         raise ConfigError(
-            "calibration needs at least 100 windows; shrink calibration.window_ms "
+            f"calibration needs at least {MIN_WINDOWS} windows; shrink calibration.window_ms "
             "or extend simulation.t_end_ms"
         )
     link_neurons = None
@@ -415,7 +421,7 @@ def _parse_calibration(block: dict, dt_ms: float, t_end_ms: float,
                              link_neurons=link_neurons)
 
 
-def _parse_fusion(block: dict) -> FusionConfig:
+def _parse_fusion(block: dict, params: LifParams) -> FusionConfig:
     allowed = {"sensors", "n_events", "events", "rate_active", "rate_idle",
                "window_ms", "dt_ms", "shots", "settle_ms", "shutdown_links"}
     _no_unknown(block, "fusion", allowed)
@@ -466,6 +472,7 @@ def _parse_fusion(block: dict) -> FusionConfig:
         shots=_integer(block.get("shots", 100_000), "fusion.shots", minimum=1),
         settle_ms=settle_ms,
         circuit=circuit,
+        params=params,
     )
 
 
@@ -480,7 +487,7 @@ def parse_config(raw: dict, base_dir: Path) -> ScenarioConfig:
     _no_unknown(sim, "simulation", {"dt_ms", "t_end_ms", "seed", "integrator"})
     dt_ms = _number(_require(sim, "simulation", "dt_ms"), "simulation.dt_ms", strict_min=0.0)
     t_end_ms = _number(_require(sim, "simulation", "t_end_ms"), "simulation.t_end_ms", strict_min=0.0)
-    _whole_steps(t_end_ms, dt_ms, "simulation.t_end_ms", "simulation.dt_ms")
+    n_steps = _whole_steps(t_end_ms, dt_ms, "simulation.t_end_ms", "simulation.dt_ms")
     seed = _integer(_require(sim, "simulation", "seed"), "simulation.seed", minimum=0)
     integrator = _string(sim.get("integrator", "rk4"), "simulation.integrator", set(INTEGRATORS))
 
@@ -488,6 +495,7 @@ def parse_config(raw: dict, base_dir: Path) -> ScenarioConfig:
     _no_unknown(lif_block, "lif", _LIF_KEYS)
     try:
         params = LifParams(**lif_block)
+        fusion_params = replace(FUSION_LIF, **lif_block)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"lif: {err}") from err
 
@@ -504,8 +512,8 @@ def parse_config(raw: dict, base_dir: Path) -> ScenarioConfig:
         drives = tuple(_number(v, f"drive.constant[{i}]") for i, v in enumerate(const))
 
     profiles = _parse_profiles(raw.get("spikes", {}), topology)
-    quantum = _parse_quantum(raw.get("quantum", {}), topology, dt_ms, t_end_ms, base_dir)
-    cal = _parse_calibration(raw.get("calibration", {}), dt_ms, t_end_ms, topology)
+    quantum = _parse_quantum(raw.get("quantum", {}), topology, dt_ms, n_steps, base_dir)
+    cal = _parse_calibration(raw.get("calibration", {}), dt_ms, n_steps, topology)
     if (
         cal is not None
         and cal.link_neurons is not None
@@ -526,7 +534,7 @@ def parse_config(raw: dict, base_dir: Path) -> ScenarioConfig:
         emit_calibration=_boolean(out_block.get("emit_calibration", True), "output.emit_calibration"),
     )
 
-    fusion = _parse_fusion(raw["fusion"]) if "fusion" in raw else None
+    fusion = _parse_fusion(raw["fusion"], fusion_params) if "fusion" in raw else None
 
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     sha = hashlib.sha256(canonical.encode()).hexdigest()

@@ -31,18 +31,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .engine import (
-    QuantumState,
-    OperatorMatrix,
-    classically_controlled_not,
-    normalized_amplitudes,
-)
-from .errors import (
-    ConstraintViolationWarning,
-    DegenerateEncodingError,
-    DegenerateStateError,
-    UnknownTagError,
-)
+from .engine import (QuantumState, OperatorMatrix, all_finite, classically_controlled_not,
+                     normalized, squared_norm)
+from .errors import ConstraintViolationWarning, DegenerateEncodingError, UnknownTagError
 from .lif import LifParams
 
 
@@ -147,24 +138,21 @@ class TaggedState:
         object.__setattr__(self, "tags", tuple(self.tags))
 
 
-def _tag_mask(tags: Sequence[str], blocked: Iterable[str]) -> np.ndarray:
+def blocked_components(tags: Sequence[str], blocked: Iterable[str]) -> list[int]:
+    """Indices of the components whose tag is in ``blocked``."""
     blocked_set = frozenset(blocked)
-    return np.array([tag in blocked_set for tag in tags])
+    return [k for k, tag in enumerate(tags) if tag in blocked_set]
 
 
-def _blank(amps: np.ndarray, where, message: str) -> np.ndarray:
-    """``amps`` with the components at ``where`` zeroed and the rest renormalized.
-
-    Returns ``amps`` itself when those components are already zero, and
-    raises ``message`` when nothing nonzero would remain.
-    """
-    if not amps[where].any():
+def blanked(amps: list[complex], where: Sequence[int], message: str) -> list[complex]:
+    """``amps`` with the components at ``where`` zeroed and the rest renormalized, or
+    ``amps`` itself when those are already zero; raises ``message`` if nothing is left."""
+    if not any(amps[k] for k in where):
         return amps
     out = amps.copy()
-    out[where] = 0.0
-    if not out.any():
-        raise DegenerateStateError(message)
-    return normalized_amplitudes(out)
+    for k in where:
+        out[k] = 0j
+    return normalized(out, message)
 
 
 def gate_by_tag(tagged: TaggedState, blocked: Iterable[str]) -> TaggedState:
@@ -173,8 +161,9 @@ def gate_by_tag(tagged: TaggedState, blocked: Iterable[str]) -> TaggedState:
     Bitwise idempotent: when no nonzero amplitude is affected the input is
     returned unchanged.
     """
-    amps = tagged.state.amplitudes
-    out = _blank(amps, _tag_mask(tagged.tags, blocked), "every component is blocked by tag")
+    amps = tagged.state.amplitudes.tolist()
+    out = blanked(amps, blocked_components(tagged.tags, blocked),
+                  "every component is blocked by tag")
     if out is amps:
         return tagged
     return TaggedState(QuantumState(out, tagged.state.basis_labels), tagged.tags)
@@ -222,6 +211,8 @@ class SynapseCircuit:
                 "bidirectional mode feeds the downstream state into the upstream "
                 f"space and requires equal dimensions, got {self.up_dim} != {self.down_dim}"
             )
+        if not math.isfinite(self.drive_scale):
+            raise ValueError(f"drive_scale must be finite, got {self.drive_scale}")
         if self.k_operator is not None:
             if self.k_operator.kind not in ("hermitian", "unitary"):
                 raise ValueError("k_operator must be declared hermitian or unitary")
@@ -235,16 +226,20 @@ class SynapseCircuit:
                 raise ValueError(
                     f"coupling must be {self.down_dim}x{self.up_dim}, got {w.shape}"
                 )
+            if not all_finite(w):
+                raise ValueError("coupling entries must be finite")
             w.setflags(write=False)
             object.__setattr__(self, "coupling", w)
         if self.b_weights is not None:
             b = np.array(self.b_weights, dtype=complex)
             if b.shape != (self.down_dim,):
                 raise ValueError(f"b_weights must have length {self.down_dim}")
+            if not all_finite(b):
+                raise ValueError("b_weights must be finite")
             b.setflags(write=False)
             object.__setattr__(self, "b_weights", b)
             if self.down_prob_bound is not None:
-                total = float(np.sum(b.real**2 + b.imag**2))
+                total = squared_norm(b.tolist())
                 if total > self.down_prob_bound:
                     warnings.warn(
                         f"total downstream probability {total:.6g} exceeds the "
@@ -276,20 +271,13 @@ class SynapseCircuit:
                 )
 
 
-def encode_up(
-    probabilities: Sequence[float],
-    phases: Sequence[float] | None = None,
-    labels: Sequence[str] | None = None,
-) -> QuantumState:
-    """Encode crossing probabilities as amplitudes sqrt(p_k / sum p) e^{i phase_k}.
-
-    Raw probabilities need not sum to one; callers record the sum so the
-    inputs stay recoverable from the normalized state.
-    """
+def encode_amplitudes(probabilities: Sequence[float],
+                      phases: Sequence[float] | None = None) -> list[complex]:
+    """``encode_up``'s amplitudes sqrt(p_k / sum p) e^{i phase_k} as a list of complex."""
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("probabilities must be a nonempty vector")
-    if (p < 0).any() or (p > 1).any():
+    if not all(0.0 <= x <= 1.0 for x in p.tolist()):
         raise ValueError("probabilities must lie in [0, 1]")
     total = p.sum()
     if total == 0.0:
@@ -300,7 +288,20 @@ def encode_up(
         if ph.shape != p.shape:
             raise ValueError("phases length must match probabilities")
         amps = amps * np.exp(1j * ph)
-    return QuantumState.from_amplitudes(amps, labels)
+    return amps.tolist()
+
+
+def encode_up(
+    probabilities: Sequence[float],
+    phases: Sequence[float] | None = None,
+    labels: Sequence[str] | None = None,
+) -> QuantumState:
+    """Encode crossing probabilities as amplitudes sqrt(p_k / sum p) e^{i phase_k}.
+
+    Raw probabilities need not sum to one; callers record the sum so the
+    inputs stay recoverable from the normalized state.
+    """
+    return QuantumState.from_amplitudes(encode_amplitudes(probabilities, phases), labels)
 
 
 def gate_up(
@@ -322,50 +323,19 @@ def gate_up(
 #     in column order, and b_weights * coupled is one complex product per
 #     component; every product and sum is rounded on its own (Python never
 #     fuses a multiply-add);
-#   - the squared norm is summed in numpy's pairwise order, and a state is
-#     scaled as numpy divides a complex vector by a real norm.
+#   - a state is renormalized by engine.normalized: the squared norm is
+#     summed in numpy's pairwise order, and the state is scaled as numpy
+#     divides a complex vector by a real norm.
 # Circuits without K, coupling or b_weights therefore give numpy's bytes,
 # and circuits with them the unfused result, whatever FMA or BLAS kernel
 # numpy would dispatch to on the host.
 
 
-def _pairwise_sum(a: list[float], lo: int, n: int) -> float:
-    """Sum of ``a[lo:lo + n]`` in the order ``np.sum`` adds a contiguous float64 array."""
-    if n < 8:
-        s = 0.0
-        for i in range(lo, lo + n):
-            s += a[i]
-        return s
-    if n <= 128:
-        r = a[lo:lo + 8]
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            for j in range(8):
-                r[j] += a[i + j]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, lo + n):
-            s += a[i]
-        return s
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
-
-
-def _normalized(out: list[complex], stage: str) -> list[complex]:
-    """``out / sqrt(sum |z|^2)`` as numpy computes it; raises naming ``stage`` on a zero state."""
-    n2 = _pairwise_sum([z.real * z.real + z.imag * z.imag for z in out], 0, len(out))
-    if n2 == 0.0:
-        raise DegenerateStateError(f"{stage} collapsed to the zero state")
-    # numpy's complex division by (s, 0): rat = 0.0, scl = 1/(s + 0.0*rat)
-    scl = 1.0 / math.sqrt(n2)
-    return [complex((z.real + z.imag * 0.0) * scl, (z.imag - z.real * 0.0) * scl) for z in out]
-
-
-def _combine(base: list[complex], contribution: list[complex], stage: str) -> list[complex]:
+def _combine(base: list[complex], contribution: list[complex], message: str) -> list[complex]:
     """base + contribution, renormalized; ``base`` itself when the contribution is zero."""
     if not any(contribution):
         return base
-    return _normalized([a + b for a, b in zip(base, contribution)], stage)
+    return normalized([a + b for a, b in zip(base, contribution)], message)
 
 
 def _matvec(m: list[list[complex]], x: list[complex]) -> list[complex]:
@@ -379,11 +349,11 @@ def _matvec(m: list[list[complex]], x: list[complex]) -> list[complex]:
 
 
 def _euler_step(state: list[complex], drive: list[complex], dtc: complex, kick: complex,
-                stage: str) -> list[complex]:
+                message: str) -> list[complex]:
     """One renormalized Euler step: ``state + dt*drive``, plus ``kick`` on component 0."""
     delta = [dtc * d for d in drive]
     delta[0] += kick
-    return _combine(state, delta, stage)
+    return _combine(state, delta, message)
 
 
 def _drive_rate(params: LifParams, drive_scale: float) -> complex:
@@ -404,12 +374,13 @@ def _operands(circuit: SynapseCircuit):
 def _round_trip(up, down, dtc, kick, k, coupling, b):
     """Feedback mix, upstream drive step, downstream combination (see bidirectional_step)."""
     if k is not None:
-        up = _combine(up, _matvec(k, down), "feedback mix")
-    up = _euler_step(up, down, dtc, kick, "upstream drive step")
+        up = _combine(up, _matvec(k, down), "feedback mix collapsed to the zero state")
+    up = _euler_step(up, down, dtc, kick, "upstream drive step collapsed to the zero state")
     if b is None:
         return up, down
     coupled = up if coupling is None else _matvec(coupling, up)
-    return up, _combine(down, [w * c for w, c in zip(b, coupled)], "downstream combination")
+    return up, _combine(down, [w * c for w, c in zip(b, coupled)],
+                        "downstream combination collapsed to the zero state")
 
 
 def evolve_down(
@@ -440,15 +411,16 @@ def evolve_down(
         drive = psi_up.amplitudes.tolist()
     down = psi_down.amplitudes.tolist()
     kick = dt * (_drive_rate(params, drive_scale) * (v_now - params.v_rest))
-    out = _euler_step(down, drive, complex(dt, 0.0), kick, "downstream evolution step")
+    out = _euler_step(down, drive, complex(dt, 0.0), kick,
+                      "downstream evolution step collapsed to the zero state")
     if out is down:
         return psi_down
     return QuantumState(out, psi_down.basis_labels)
 
 
-def _check_circuit_states(circuit: SynapseCircuit, psi_up: QuantumState,
-                          psi_down: QuantumState, dt: float) -> None:
-    if psi_up.dim != circuit.up_dim or psi_down.dim != circuit.down_dim:
+def _check_circuit_states(circuit: SynapseCircuit, up: Sequence[complex],
+                          down: Sequence[complex], dt: float) -> None:
+    if len(up) != circuit.up_dim or len(down) != circuit.down_dim:
         raise ValueError("state dimensions do not match the circuit")
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -473,7 +445,7 @@ def bidirectional_step(
     """
     if circuit.mode != "bidirectional":
         raise ValueError("circuit is not bidirectional")
-    _check_circuit_states(circuit, psi_up, psi_down, dt)
+    _check_circuit_states(circuit, psi_up.amplitudes, psi_down.amplitudes, dt)
     down = psi_down.amplitudes.tolist()
     kick = dt * (_drive_rate(params, circuit.drive_scale) * (v_now - params.v_rest))
     up, down2 = _round_trip(psi_up.amplitudes.tolist(), down, complex(dt, 0.0), kick,
@@ -486,25 +458,25 @@ def bidirectional_step(
 
 def run_circuit(
     circuit: SynapseCircuit,
-    psi_up: QuantumState,
-    psi_down: QuantumState,
+    up: list[complex],
+    down: list[complex],
     potentials: Sequence[float],
     params: LifParams,
     dt: float,
     gate_pair: tuple[int, int] | None = None,
-) -> tuple[QuantumState, QuantumState]:
-    """Step the circuit once per membrane potential; returns (up_record, psi_down).
+) -> tuple[list[complex], list[complex]]:
+    """Step the circuit once per membrane potential; returns (up_record, down).
 
-    Each step swaps ``gate_pair`` of the upstream state when the potential
-    is above threshold (the swap persists), drives the downstream state with
-    the coupled, normalized upstream state for one Euler step, and in
-    bidirectional mode runs the feedback round trip.  ``up_record`` is the
-    round trip's combined upstream state, or the gated encoding in one-way
-    mode; the next step keeps the gated encoding either way.  The loop runs
-    on lists of Python complex values in the fixed order described above
-    ``_pairwise_sum``: states are validated at entry and exit only.
+    States are normalized amplitude lists.  Each step swaps ``gate_pair`` of
+    the upstream state when the potential is above threshold (the swap
+    persists), drives the downstream state with the coupled, normalized
+    upstream state for one Euler step, and in bidirectional mode runs the
+    feedback round trip.  ``up_record`` is the round trip's combined upstream
+    state, or the gated encoding in one-way mode; the next step keeps the
+    gated encoding either way.  The loop runs in the fixed order described
+    above ``_combine``.
     """
-    _check_circuit_states(circuit, psi_up, psi_down, dt)
+    _check_circuit_states(circuit, up, down, dt)
     if circuit.coupling is None and circuit.up_dim != circuit.down_dim:
         raise ValueError("a circuit without coupling needs equal dimensions")
     if gate_pair is not None:
@@ -516,49 +488,27 @@ def run_circuit(
     dtc = complex(dt, 0.0)
     rate = _drive_rate(params, circuit.drive_scale)
     v_rest, v_thres = params.v_rest, params.v_thres
-    up = record = psi_up.amplitudes.tolist()
-    down = psi_down.amplitudes.tolist()
+    record = up
     for v_now in np.asarray(potentials, dtype=float).tolist():
         if gate_pair is not None and v_now > v_thres:
             up = up.copy()
             up[i], up[j] = up[j], up[i]
-        drive = up if coupling is None else _normalized(_matvec(coupling, up), "coupled drive")
+        drive = up if coupling is None else normalized(
+            _matvec(coupling, up), "coupled drive collapsed to the zero state")
         kick = dt * (rate * (v_now - v_rest))
-        down = _euler_step(down, drive, dtc, kick, "downstream evolution step")
+        down = _euler_step(down, drive, dtc, kick,
+                           "downstream evolution step collapsed to the zero state")
         if bidirectional:
             record, down = _round_trip(up, down, dtc, kick, k, coupling, b)
         else:
             record = up
-    return (
-        QuantumState(record, psi_up.basis_labels),
-        QuantumState(down, psi_down.basis_labels),
-    )
+    return record, down
 
 
 def shutdown_link(state: QuantumState, link: int) -> QuantumState:
     """Force one component to exactly zero and renormalize the rest."""
     if not 0 <= link < state.dim:
         raise ValueError(f"link {link} out of range for dimension {state.dim}")
-    out = _blank(state.amplitudes, link, f"link {link} is the only nonzero component")
-    return state if out is state.amplitudes else QuantumState(out, state.basis_labels)
-
-
-def measured_state(
-    circuit: SynapseCircuit,
-    psi_down: QuantumState,
-    tags: Sequence[str] | None = None,
-    blocked_tags: Sequence[str] = (),
-) -> QuantumState:
-    """The state a measurement sees: ``shutdown_link`` per shutdown link, then ``gate_by_tag``.
-
-    Works on the raw amplitudes and validates one state at the end, or
-    returns ``psi_down`` itself when neither step changes it.
-    """
-    amps = psi_down.amplitudes
-    for link in circuit.shutdown_links:
-        amps = _blank(amps, link, f"link {link} is the only nonzero component")
-    if tags is not None and blocked_tags:
-        if len(tags) != psi_down.dim:
-            raise ValueError("tags length must equal the state dimension")
-        amps = _blank(amps, _tag_mask(tags, blocked_tags), "every component is blocked by tag")
-    return psi_down if amps is psi_down.amplitudes else QuantumState(amps, psi_down.basis_labels)
+    amps = state.amplitudes.tolist()
+    out = blanked(amps, (link,), f"link {link} is the only nonzero component")
+    return state if out is amps else QuantumState(out, state.basis_labels)

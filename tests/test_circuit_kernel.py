@@ -14,6 +14,8 @@ checked against the same oracle.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,14 +37,17 @@ from qsynapse import (
     expm_hermitian,
     gate_by_tag,
     gate_up,
+    generate_poisson,
     measure,
+    merge_trains,
     shutdown_link,
     simulate_network,
 )
+from qsynapse.engine import _pairwise_sum
 from qsynapse.harness import run_quantum_windows, window_measure_seed
 from qsynapse.lif import window_crossings
 from qsynapse.scenario import QuantumRunConfig
-from qsynapse.synapse import _pairwise_sum, run_circuit
+from qsynapse.synapse import run_circuit
 
 PARAMS = LifParams(spike_jump=16.0, v_init=-65.0)
 
@@ -213,18 +218,20 @@ def test_run_circuit_matches_per_step_oracle_bitwise(drawn, potentials, dt):
     psi_up = encode_up(rng.uniform(0.05, 1.0, circuit.up_dim),
                        rng.uniform(-3.0, 3.0, circuit.up_dim))
     psi_down = _random_state(rng, circuit.down_dim)
+    up, down = psi_up.amplitudes.tolist(), psi_down.amplitudes.tolist()
     try:
         want_up, want_down = oracle_circuit(circuit, psi_up, psi_down, potentials, PARAMS,
                                             dt, gate_pair)
     except DegenerateStateError as err:
         stage = str(err).split(" collapsed")[0]
         with pytest.raises(DegenerateStateError, match=stage):
-            run_circuit(circuit, psi_up, psi_down, potentials, PARAMS, dt, gate_pair)
+            run_circuit(circuit, up, down, potentials, PARAMS, dt, gate_pair)
         return
-    got_up, got_down = run_circuit(circuit, psi_up, psi_down, np.array(potentials), PARAMS,
+    got_up, got_down = run_circuit(circuit, up, down, np.array(potentials), PARAMS,
                                    dt, gate_pair)
-    assert same_bits(got_up, want_up)
-    assert same_bits(got_down, want_down)
+    assert np.array(got_up).tobytes() == want_up.amplitudes.tobytes()
+    assert np.array(got_down).tobytes() == want_down.amplitudes.tobytes()
+    assert up == psi_up.amplitudes.tolist() and down == psi_down.amplitudes.tolist()
 
     # zero feedback reduces to the one-way circuit exactly
     k = circuit.k_operator
@@ -232,8 +239,8 @@ def test_run_circuit_matches_per_step_oracle_bitwise(drawn, potentials, dt):
             and (k is None or not k.entries.any())
             and (circuit.b_weights is None or not circuit.b_weights.any())):
         one_way = dataclasses.replace(circuit, mode="unidirectional")
-        _, uni_down = run_circuit(one_way, psi_up, psi_down, potentials, PARAMS, dt, gate_pair)
-        assert same_bits(uni_down, got_down)
+        _, uni_down = run_circuit(one_way, up, down, potentials, PARAMS, dt, gate_pair)
+        assert np.array(uni_down).tobytes() == np.array(got_down).tobytes()
 
 
 @pytest.mark.parametrize("n", [*range(0, 41), 127, 128, 129, 255, 300, 1001, 4096])
@@ -248,15 +255,15 @@ def test_pairwise_sum_adds_in_numpy_order(n):
 
 def test_run_circuit_validates_at_entry():
     circuit = SynapseCircuit(2, 2)
-    up, down = QuantumState.uniform(2), QuantumState.uniform(2)
+    up = down = QuantumState.uniform(2).amplitudes.tolist()
     with pytest.raises(ValueError, match="dt"):
         run_circuit(circuit, up, down, [-65.0], PARAMS, 0.0)
     with pytest.raises(ValueError, match="dimensions"):
-        run_circuit(circuit, QuantumState.uniform(3), down, [-65.0], PARAMS, 0.1)
+        run_circuit(circuit, [1j, 0j, 0j], down, [-65.0], PARAMS, 0.1)
     with pytest.raises(ValueError, match="gate_pair"):
         run_circuit(circuit, up, down, [-65.0], PARAMS, 0.1, gate_pair=(0, 2))
     with pytest.raises(ValueError, match="coupling"):
-        run_circuit(SynapseCircuit(2, 3), up, QuantumState.uniform(3), [-65.0], PARAMS, 0.1)
+        run_circuit(SynapseCircuit(2, 3), up, [1j, 0j, 0j], [-65.0], PARAMS, 0.1)
 
 
 def oracle_windows(traj, qcfg, master_seed):
@@ -336,3 +343,39 @@ def test_run_quantum_windows_matches_oracle(run):
         assert rec.down_amplitudes.tobytes() == psi_down.amplitudes.tobytes()
         assert rec.down_probs.tobytes() == psi_down.probabilities().tobytes()
         assert np.array_equal(rec.counts, counts)
+
+
+def test_measured_window_builds_one_state(monkeypatch):
+    """States are amplitude lists from the encoding to the measurement: run_circuit,
+    the encoding and the readout blanks build no QuantumState, and a measured window
+    builds exactly one, the state passed to measure."""
+    from qsynapse import calibration
+    from qsynapse.scenario import parse_config
+
+    golden = Path(__file__).parent / "golden"
+    raw = json.loads((golden / "feedback" / "scenario.json").read_text())
+    raw["quantum"].update(shutdown_links=[2], tags=["excite", "block", "neutral"],
+                          blocked_tags=["block"])
+    config = parse_config(raw, golden / "feedback")
+    trains = [generate_poisson(config.profiles[k], config.t_end_ms, 1, k)
+              for k in sorted(config.profiles)]
+    traj = simulate_network(config.params, config.topology, merge_trains(trains),
+                            config.t_end_ms, config.dt_ms)
+    built, measured = [], []
+    post_init = QuantumState.__post_init__
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_measure(state, shots, seed):
+        measured.append(state)
+        return measure(state, shots, seed)
+
+    monkeypatch.setattr(QuantumState, "__post_init__", counted_post_init)
+    monkeypatch.setattr(calibration, "measure", counted_measure)
+    records = run_quantum_windows(traj, config.quantum, 1)
+    live = sum(not rec.degenerate for rec in records)
+    assert live > 0
+    assert len(measured) == live
+    assert [id(s) for s in built] == [id(s) for s in measured]

@@ -1,5 +1,6 @@
 import gc
 import json
+import shutil
 from pathlib import Path
 
 from qsynapse import __version__
@@ -188,3 +189,59 @@ def test_validate_rejects_durations_that_are_not_whole_steps(tmp_path, capsys):
         assert f"fusion.settle_ms ({settle_ms}) must be a whole number" in capsys.readouterr().err
     path = good_config(tmp_path, fusion=dict(_fusion_block([]), settle_ms=0.3))
     assert main(["validate", "--config", str(path), "--quiet"]) == 0
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys):
+    """NaN passed every ``>= tol`` check: a K entry of nan,0.0 or ``"drive_scale": NaN``
+    (Python's json reads the literal) ran with nan amplitudes and all shots on link 0."""
+    feedback = tmp_path / "feedback"
+    shutil.copytree(GOLDEN / "feedback", feedback)
+    k_path = feedback / "k_operator.txt"
+    lines = k_path.read_text().splitlines()
+    cells = lines[1].split()
+    lines[1] = " ".join(["nan,0.0"] + cells[1:])
+    k_path.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--config", str(feedback / "scenario.json")]) == 1
+    assert "quantum.k_operator_path" in capsys.readouterr().err
+
+    raw = json.loads((GOLDEN / "feedback" / "scenario.json").read_text())
+    raw["quantum"]["drive_scale"] = float("nan")
+    shutil.copy(GOLDEN / "feedback" / "k_operator.txt", tmp_path)
+    shutil.copy(GOLDEN / "feedback" / "coupling.txt", tmp_path)
+    path = write_config(tmp_path, raw)
+    assert "NaN" in path.read_text()
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "quantum.drive_scale must be finite" in capsys.readouterr().err
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+
+    path = good_config(tmp_path, drive={"constant": [float("inf")]})
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "drive.constant[0] must be finite" in capsys.readouterr().err
+
+
+def test_calibration_window_count_is_in_whole_steps(tmp_path, capsys):
+    """0.3 ms windows at dt 0.1: 29.7 ms holds 99 of them, one short of the minimum."""
+    for t_end_ms, code in ((29.7, 1), (30.0, 0)):
+        path = good_config(
+            tmp_path,
+            simulation={"dt_ms": 0.1, "t_end_ms": t_end_ms, "seed": 4},
+            calibration={"enabled": True, "window_ms": 0.3, "shots": 10_000},
+        )
+        assert main(["validate", "--config", str(path), "--quiet"]) == code, t_end_ms
+    assert "calibration needs at least 100 windows" in capsys.readouterr().err
+
+
+def test_fuse_honours_the_lif_block(tmp_path):
+    """The lif block is laid over fusion's defaults (spike_jump 20, v_init -65)."""
+    raw = json.loads((GOLDEN / "fusion_scenario.json").read_text())
+    raw["lif"] = {"spike_jump": 1.0, "v_thres": -40.0}
+    path = write_config(tmp_path, raw)
+    assert main(["fuse", "--config", str(path), "--out", str(tmp_path / "f"), "--quiet"]) == 0
+    assert (tmp_path / "f" / "fusion.csv").read_bytes() != (GOLDEN / "fusion.csv").read_bytes()
+    raw["lif"] = {"spike_jump": 20.0, "v_init": -65.0}
+    path = write_config(tmp_path, raw)
+    assert main(["fuse", "--config", str(path), "--out", str(tmp_path / "g"), "--quiet"]) == 0
+    assert (tmp_path / "g" / "fusion.csv").read_bytes() == (GOLDEN / "fusion.csv").read_bytes()

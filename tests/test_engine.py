@@ -80,6 +80,19 @@ class TestOperatorMatrix:
     def test_general_unchecked(self):
         OperatorMatrix(np.array([[5, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_entries_rejected(self, bad):
+        """A NaN fails every ``dev >= tol`` test, so it passed the Hermitian check."""
+        for kind in ("general", "hermitian", "unitary"):
+            with pytest.raises(ValueError, match="finite"):
+                OperatorMatrix([[bad, 0], [0, 1]], kind=kind)
+
+
+def test_non_finite_state_rejected():
+    for amps in ([math.nan, 0.5], [math.inf, 0.0], [complex(0.6, math.nan), 0.8]):
+        with pytest.raises(ValueError, match="norm"):
+            QuantumState(amps, ("0", "1"))
+
 
 class TestCnot:
     def test_exact_matrix(self):

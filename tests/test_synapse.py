@@ -64,6 +64,10 @@ class TestEncodeUp:
         with pytest.raises(DegenerateEncodingError):
             encode_up([0.0, 0.0])
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            encode_up([math.nan, 0.5])
+
     def test_range_validation(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             encode_up([0.5, 1.5])
@@ -147,6 +151,16 @@ class TestSynapseCircuit:
     def test_k_dimension_checked(self):
         with pytest.raises(ValueError, match="dimension"):
             SynapseCircuit(up_dim=3, down_dim=3, mode="bidirectional", k_operator=_zero_k(2))
+
+    def test_non_finite_numbers_rejected(self):
+        for kwargs, field in (
+            ({"drive_scale": math.nan}, "drive_scale"),
+            ({"drive_scale": math.inf}, "drive_scale"),
+            ({"coupling": [[1.0, math.nan], [0.0, 1.0]]}, "coupling"),
+            ({"b_weights": [0.5, complex(math.inf, 0.0)]}, "b_weights"),
+        ):
+            with pytest.raises(ValueError, match=f"{field}.*finite"):
+                SynapseCircuit(2, 2, **kwargs)
 
     def test_coupling_shape_checked(self):
         with pytest.raises(ValueError, match="coupling"):
