@@ -16,7 +16,6 @@ order, the bytes of ``amps / np.sqrt(np.sum(re**2 + im**2))`` on every CPU.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateStateError
-from .rng import rekey, sample_counts, stream_rng
+from .rng import sample_counts, thread_rng
 
 MAX_STATE_DIM = 4096
 MAX_OPERATOR_DIM = 256
@@ -294,30 +293,14 @@ def rotation_operator(spec: RotationSpec) -> OperatorMatrix:
     return expm_hermitian(OperatorMatrix(h, kind="hermitian"), -spec.angle)
 
 
-_measure_local = threading.local()
-
-
-def _measure_rng() -> np.random.Generator:
-    """This thread's measurement generator, made on its first measurement.
-
-    One generator per thread lets concurrent calls re-key without racing, and
-    making it lazily keeps numpy.random out of the package import.
-    """
-    rng = getattr(_measure_local, "rng", None)
-    if rng is None:
-        rng = _measure_local.rng = stream_rng(0)
-    return rng
-
-
 def measure(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
     """Histogram of ``shots`` i.i.d. basis draws; deterministic given seed.
 
-    The draws are those of ``stream_rng(seed)``, taken from the calling
-    thread's generator re-keyed to ``seed``.
+    The draws are those of ``stream_rng(seed)``, taken from ``thread_rng(seed)``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    counts = sample_counts(state.probabilities(), shots, rekey(_measure_rng(), seed))
+    counts = sample_counts(state.probabilities(), shots, thread_rng(seed))
     return {label: int(c) for label, c in zip(state.basis_labels, counts)}
 
 

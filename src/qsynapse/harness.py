@@ -38,7 +38,7 @@ from .lif import (
     window_crossings,
     window_stride,
 )
-from .rng import stream_rng
+from .rng import thread_rng
 from .scenario import (FUSION_LIF, FUSION_SETTLE_DT_MS, FusionScenario, QuantumRunConfig,
                        ScenarioConfig)
 from .spikes import RateProfile, generate_poisson, merge_trains
@@ -401,7 +401,7 @@ def run_fusion_demo(
 
     trains = []
     for k, ((p_det, _), (rate_on, rate_off)) in enumerate(zip(scenario.sensors, scenario.rates)):
-        u = stream_rng(seed, _DETECT_STREAM + k).random(n_windows)
+        u = thread_rng(seed, _DETECT_STREAM + k).random(n_windows)
         detected = truth & (u < p_det)
         segments = [
             (w * window_ms, (w + 1) * window_ms, rate_on if detected[w] else rate_off)

@@ -10,6 +10,8 @@ methods, which keeps generated streams stable across library versions.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 _U64 = (1 << 64) - 1
@@ -23,13 +25,22 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def rekey(rng: np.random.Generator, seed: int, stream: int = 0) -> np.random.Generator:
-    """Reset a Philox-backed ``rng`` to the start of the (seed, stream) stream, in place.
+_local = threading.local()
 
-    Afterwards it draws exactly what a fresh ``stream_rng(seed, stream)``
-    draws: key (seed, stream), counter 0, an empty output buffer.  Setting
-    the state costs a fraction of building a new generator.
+
+def thread_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """The calling thread's Philox generator, re-keyed to the (seed, stream) stream.
+
+    It draws exactly what a fresh ``stream_rng(seed, stream)`` draws: key
+    (seed, stream), counter 0, an empty output buffer.  Re-keying costs a
+    fraction of building a generator, and one generator per thread lets
+    concurrent calls re-key without racing.  A caller finishes its draws
+    before anything else on the thread asks for the generator.
     """
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = stream_rng(seed, stream)
+        return rng
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": (seed & _U64, stream & _U64)},
@@ -67,8 +78,3 @@ def sample_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np
         counts += np.bincount(np.minimum(idx, last_nonzero, out=idx), minlength=p.size)
     return counts
 
-
-def exponential_gap(rate: float, rng: np.random.Generator) -> float:
-    """One exponential inter-arrival time at ``rate`` from a raw uniform."""
-    # -log1p(-u) maps u in [0, 1) to (0, inf) without ever producing 0.0
-    return -np.log1p(-rng.random()) / rate

@@ -213,7 +213,7 @@ def _parse_topology(block: dict, params: LifParams) -> NetworkTopology:
     for i, pair in enumerate(pairs_raw):
         if not isinstance(pair, list) or len(pair) not in (2, 3):
             raise ConfigError(f"topology.elec_pairs[{i}] must be [i, j] or [i, j, g_elec]")
-        pairs.append(pair)
+        pairs.append(pair[:2] + [_number(g, f"topology.elec_pairs[{i}][2]") for g in pair[2:]])
     try:
         return NetworkTopology.build(n, links, pairs, default_g_elec=params.g_elec)
     except ValueError as err:
@@ -233,14 +233,17 @@ def _parse_profiles(block: dict, topology: NetworkTopology) -> dict[int, RatePro
             raise ConfigError(f"{path}.link {link} has more than one profile")
         kind = _string(prof.get("kind", "constant"), f"{path}.kind", {"constant", "modulated"})
         rate = _number(_require(prof, path, "rate_per_ms"), f"{path}.rate_per_ms", minimum=0.0)
+        if kind == "constant" and "segments" in prof:
+            raise ConfigError(f"{path}.segments is only valid for modulated profiles")
+        segments = prof.get("segments", [])
+        if not isinstance(segments, list) or any(
+                not isinstance(seg, list) or len(seg) != 3 for seg in segments):
+            raise ConfigError(f"{path}.segments must be a list of [start_ms, end_ms, rate]")
+        segments = [[_number(v, f"{path}.segments[{j}][{c}]") for c, v in enumerate(seg)]
+                    for j, seg in enumerate(segments)]
         try:
-            if kind == "constant":
-                if "segments" in prof:
-                    raise ConfigError(f"{path}.segments is only valid for modulated profiles")
-                profiles[link] = RateProfile.constant(rate)
-            else:
-                segments = prof.get("segments", [])
-                profiles[link] = RateProfile.modulated(rate, segments)
+            profiles[link] = (RateProfile.constant(rate) if kind == "constant"
+                              else RateProfile.modulated(rate, segments))
         except ValueError as err:
             raise ConfigError(f"{path}: {err}") from err
     return profiles
@@ -493,6 +496,8 @@ def parse_config(raw: dict, base_dir: Path) -> ScenarioConfig:
 
     lif_block = raw.get("lif", {})
     _no_unknown(lif_block, "lif", _LIF_KEYS)
+    lif_block = {k: _boolean(v, f"lif.{k}") if k == "literal_multilink_leak"
+                 else _number(v, f"lif.{k}") for k, v in lif_block.items()}
     try:
         params = LifParams(**lif_block)
         fusion_params = replace(FUSION_LIF, **lif_block)

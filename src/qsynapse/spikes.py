@@ -4,12 +4,14 @@ Trains are reproducible by contract: the stream for a train is a
 Philox4x64-10 generator keyed on (master seed, link id), and all draws are
 raw uniforms passed through fixed inverse-CDF transforms.  Modulated
 profiles are realized by thinning a homogeneous process at the peak rate,
-so a zero-rate segment can never contain a spike.
+so a zero-rate segment can never contain a spike.  Candidates are drawn in
+blocks, with the bits of drawing them one at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -17,7 +19,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import exponential_gap, stream_rng
+from .rng import thread_rng
+
+# generate_poisson draws at most this many candidates at a time.  A Generator
+# yields the same stream whatever the block sizes, so the train does not
+# depend on it; it bounds the memory of a train at a huge rate.
+SPIKE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -27,10 +34,10 @@ class RateSegment:
     rate_per_ms: float
 
     def __post_init__(self):
-        if self.end_ms <= self.start_ms:
-            raise ValueError(f"segment end {self.end_ms} must exceed start {self.start_ms}")
-        if self.rate_per_ms < 0:
-            raise ValueError("segment rate must be >= 0")
+        if not -math.inf < self.start_ms < self.end_ms < math.inf:
+            raise ValueError(f"segment [{self.start_ms}, {self.end_ms}) must be finite and non-empty")
+        if not 0.0 <= self.rate_per_ms < math.inf:
+            raise ValueError(f"segment rate {self.rate_per_ms} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -44,8 +51,8 @@ class RateProfile:
     def __post_init__(self):
         if self.kind not in ("constant", "modulated"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.base_rate < 0:
-            raise ValueError("base_rate must be >= 0")
+        if not 0.0 <= self.base_rate < math.inf:
+            raise ValueError(f"base_rate {self.base_rate} must be finite and >= 0")
         if self.kind == "constant" and self.segments:
             raise ValueError("constant profiles take no segments")
         prev_end = None
@@ -69,21 +76,16 @@ class RateProfile:
         )
 
     @cached_property
-    def _segment_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        starts = np.array([s.start_ms for s in self.segments])
-        ends = np.array([s.end_ms for s in self.segments])
-        rates = np.array([s.rate_per_ms for s in self.segments])
-        return starts, ends, rates
+    def _steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edges [s0, e0, s1, e1, ...] and the rate from each edge on, base first."""
+        edges = [b for seg in self.segments for b in (seg.start_ms, seg.end_ms)]
+        levels = [r for seg in self.segments for r in (seg.rate_per_ms, self.base_rate)]
+        return np.array(edges, dtype=float), np.array([self.base_rate] + levels, dtype=float)
 
-    def rate_at(self, t_ms: float) -> float:
-        """Active rate at time t: the covering segment's, else the base rate."""
-        if not self.segments:
-            return self.base_rate
-        starts, ends, rates = self._segment_arrays
-        i = int(np.searchsorted(starts, t_ms, side="right")) - 1
-        if i >= 0 and t_ms < ends[i]:
-            return float(rates[i])
-        return self.base_rate
+    def rates_at(self, t_ms: np.ndarray) -> np.ndarray:
+        """Active rate at each time: the covering segment's, else the base rate."""
+        edges, levels = self._steps
+        return levels.take(edges.searchsorted(t_ms, side="right"))
 
     def max_rate(self) -> float:
         rates = [self.base_rate] + [s.rate_per_ms for s in self.segments]
@@ -113,24 +115,32 @@ def generate_poisson(
 ) -> SpikeTrain:
     """Sample one spike train; identical (profile, horizon, seed, link) pairs
     reproduce identical trains."""
-    if horizon_ms <= 0:
-        raise ValueError("horizon_ms must be > 0")
-    rng = stream_rng(seed, link_id)
+    if not 0.0 < horizon_ms < math.inf:
+        raise ValueError(f"horizon_ms {horizon_ms} must be finite and > 0")
     r_max = profile.max_rate()
-    times: list[float] = []
+    blocks = []
     if r_max > 0:
-        thin = profile.kind == "modulated"
+        # modulated draws interleave (gap, thinning) uniforms, as one-at-a-time draws do
+        per = 2 if profile.kind == "modulated" else 1
+        mean = r_max * horizon_ms
+        n = min(int(mean + 10 * math.sqrt(mean) + 20), SPIKE_BLOCK)
+        rng = thread_rng(seed, link_id)
         t = 0.0
         while True:
-            t += exponential_gap(r_max, rng)
-            if t >= horizon_ms:
-                break
-            if thin:
-                if rng.random() * r_max < profile.rate_at(t):
-                    times.append(t)
+            u = rng.random(per * n)
+            times = -np.log1p(-u[::per]) / r_max
+            times[0] += t
+            np.cumsum(times, out=times)
+            k = int(times.searchsorted(horizon_ms, side="left"))
+            if per == 2:
+                blocks.append(times[:k][u[1::2][:k] * r_max < profile.rates_at(times[:k])])
             else:
-                times.append(t)
-    return SpikeTrain(link_id=link_id, times=np.array(times), horizon_ms=horizon_ms)
+                blocks.append(times[:k])
+            if k < n:
+                break
+            t = times[-1]
+    return SpikeTrain(link_id=link_id, times=np.concatenate(blocks) if blocks else np.empty(0),
+                      horizon_ms=horizon_ms)
 
 
 def merge_trains(trains: Sequence[SpikeTrain]) -> list[tuple[float, int]]:
@@ -143,7 +153,7 @@ def merge_trains(trains: Sequence[SpikeTrain]) -> list[tuple[float, int]]:
             raise ValueError(
                 f"mismatched horizons: {tr.horizon_ms} != {horizon} (link {tr.link_id})"
             )
-    events = [(float(t), tr.link_id) for tr in trains for t in tr.times]
+    events = [(t, tr.link_id) for tr in trains for t in tr.times.tolist()]
     events.sort()
     return events
 

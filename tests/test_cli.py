@@ -1,7 +1,10 @@
 import gc
 import json
+import math
 import shutil
 from pathlib import Path
+
+import pytest
 
 from qsynapse import __version__
 from qsynapse.cli import main
@@ -220,6 +223,45 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys):
     path = good_config(tmp_path, drive={"constant": [float("inf")]})
     assert main(["validate", "--config", str(path)]) == 1
     assert "drive.constant[0] must be finite" in capsys.readouterr().err
+
+
+def _segment(segment):
+    return {"spikes": {"profiles": [
+        {"link": 0, "kind": "modulated", "rate_per_ms": 0.1, "segments": [segment]}]}}
+
+
+@pytest.mark.parametrize("block, message", [
+    pytest.param(_segment([0.0, 10.0, math.inf]),
+                 "spikes.profiles[0].segments[0][2] must be finite", id="segment-rate-inf"),
+    pytest.param(_segment([0.0, math.nan, 0.2]),
+                 "spikes.profiles[0].segments[0][1] must be finite", id="segment-end-nan"),
+    pytest.param(_segment([0.0, 10.0, math.nan]),
+                 "spikes.profiles[0].segments[0][2] must be finite", id="segment-rate-nan"),
+    pytest.param(_segment([0.0, 10.0, True]),
+                 "spikes.profiles[0].segments[0][2] must be a number", id="segment-rate-bool"),
+    pytest.param(_segment([0.0, 10.0]), "config error: spikes.profiles[0].segments must be a list",
+                 id="segment-pair"),
+    pytest.param(_segment(5), "config error: spikes.profiles[0].segments must be a list",
+                 id="segment-number"),
+    pytest.param(_segment([10.0, 10.0, 0.1]), "spikes.profiles[0]: segment [10.0, 10.0) must be",
+                 id="segment-empty"),
+    pytest.param({"lif": {"v_thres": math.nan}}, "lif.v_thres must be finite", id="lif-v-thres-nan"),
+    pytest.param({"lif": {"cm": math.nan}}, "lif.cm must be finite", id="lif-cm-nan"),
+    pytest.param({"lif": {"spike_jump": math.inf}}, "lif.spike_jump must be finite",
+                 id="lif-spike-jump-inf"),
+    pytest.param({"lif": {"literal_multilink_leak": 1}},
+                 "lif.literal_multilink_leak must be true or false", id="lif-flag-not-bool"),
+    pytest.param({"topology": {"neuron_count": 2, "upstream_links": [[0], []],
+                               "elec_pairs": [[0, 1, math.nan]]}},
+                 "topology.elec_pairs[0][2] must be finite", id="gap-conductance-nan"),
+])
+def test_validate_rejects_non_finite_rates_lif_and_gap_numbers(tmp_path, capsys, block, message):
+    """These numbers bypassed the finite check: an inf segment rate made the spike draw loop
+    forever, a NaN threshold ran with no crossing at all.  Malformed segments raised a
+    TypeError in place of a config error."""
+    path = good_config(tmp_path, **block)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_calibration_window_count_is_in_whole_steps(tmp_path, capsys):

@@ -5,21 +5,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsynapse import RateProfile, SpikeTrain, generate_poisson, merge_trains
+from qsynapse import RateProfile, SpikeTrain, generate_poisson, merge_trains, spikes
+from qsynapse.rng import stream_rng
 from qsynapse.spikes import read_spike_csv, write_spike_csv
+
+
+def rate_at(profile, t):
+    """Per-point lookup: the covering segment's rate, else the base rate."""
+    for seg in profile.segments:
+        if seg.start_ms <= t < seg.end_ms:
+            return seg.rate_per_ms
+    return profile.base_rate
+
+
+def one_at_a_time(profile, horizon_ms, seed, link_id=0):
+    """The oracle: candidates drawn one at a time, each gap then (modulated) its thinning test."""
+    rng = stream_rng(seed, link_id)
+    r_max = profile.max_rate()
+    times = []
+    if r_max > 0:
+        t = 0.0
+        while True:
+            t += -np.log1p(-rng.random()) / r_max
+            if t >= horizon_ms:
+                break
+            if profile.kind == "constant" or rng.random() * r_max < rate_at(profile, t):
+                times.append(t)
+    return np.array(times)
+
+
+@st.composite
+def poisson_cases(draw):
+    """(profile, horizon, seed, link): zero rates, segments touching or straddling the horizon."""
+    horizon = draw(st.floats(1.0, 2000.0))
+    rates = st.just(0.0) | st.floats(1e-4, 0.5)
+    base = draw(rates)
+    seed = draw(st.integers(0, 2**32) | st.integers(2**63, 2**64 - 1))
+    link = draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        return RateProfile.constant(base), horizon, seed, link
+    cuts = draw(st.lists(st.just(horizon) | st.floats(0.0, 1.5 * horizon), max_size=8))
+    cuts = sorted(set(cuts))
+    segments = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        rate = draw(st.none() | rates)
+        if rate is not None:  # None leaves a gap at the base rate
+            segments.append((lo, hi, rate))
+    return RateProfile.modulated(base, segments), horizon, seed, link
 
 
 class TestRateProfile:
     def test_constant(self):
         prof = RateProfile.constant(0.05)
-        assert prof.rate_at(10.0) == 0.05
+        assert prof.rates_at(np.array([0.0, 10.0])).tolist() == [0.05, 0.05]
         assert prof.max_rate() == 0.05
 
     def test_modulated_lookup(self):
         prof = RateProfile.modulated(0.01, [(10, 20, 0.2), (20, 30, 0.0)])
-        assert prof.rate_at(5.0) == 0.01
-        assert prof.rate_at(15.0) == 0.2
-        assert prof.rate_at(25.0) == 0.0
+        assert prof.rates_at(np.array([5.0, 15.0, 25.0, 30.0])).tolist() == [0.01, 0.2, 0.0, 0.01]
         assert prof.max_rate() == 0.2
 
     def test_validation(self):
@@ -29,6 +72,31 @@ class TestRateProfile:
             RateProfile.constant(-0.1)
         with pytest.raises(ValueError, match="kind"):
             RateProfile(kind="sinusoidal", base_rate=0.1)
+
+    @pytest.mark.parametrize("base, segment", [
+        (0.1, (0.0, 10.0, math.inf)),
+        (0.1, (0.0, math.nan, 0.2)),
+        (0.1, (0.0, 10.0, math.nan)),
+        (0.1, (math.nan, 10.0, 0.2)),
+        (0.1, (-math.inf, 10.0, 0.2)),
+        (0.1, (0.0, math.inf, 0.2)),
+        (math.nan, (0.0, 10.0, 0.2)),
+        (math.inf, (0.0, 10.0, 0.2)),
+    ])
+    def test_non_finite_rates_and_bounds_are_rejected(self, base, segment):
+        """A segment rate of inf once made generate_poisson loop forever; NaN passed every check."""
+        with pytest.raises(ValueError, match="finite"):
+            RateProfile.modulated(base, [segment])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=poisson_cases(), data=st.data())
+    def test_rates_at_matches_per_point_lookup_at_edges(self, case, data):
+        prof = case[0]
+        edges = [b for seg in prof.segments for b in (seg.start_ms, seg.end_ms)]
+        points = [p for b in edges for p in (np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf))]
+        points += data.draw(st.lists(st.floats(-10.0, 4000.0), max_size=10))
+        want = [rate_at(prof, t) for t in points]
+        assert prof.rates_at(np.array(points, dtype=float)).tolist() == want
 
 
 class TestGeneratePoisson:
@@ -89,6 +157,48 @@ class TestGeneratePoisson:
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             generate_poisson(RateProfile.constant(0.1), 0.0, seed=1)
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                generate_poisson(RateProfile.constant(0.1), horizon, seed=1)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, spikes.SPIKE_BLOCK])
+    @settings(max_examples=40, deadline=None)
+    @given(case=poisson_cases())
+    def test_block_draws_equal_one_at_a_time(self, block, case):
+        """Blocks of any size, small ones carrying the last time across many blocks,
+        give the bits of the one-at-a-time draws."""
+        profile, horizon, seed, link = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spikes, "SPIKE_BLOCK", block)
+            train = generate_poisson(profile, horizon, seed, link)
+        want = one_at_a_time(profile, horizon, seed, link)
+        assert train.times.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("profile", [
+        RateProfile.constant(12.0),
+        RateProfile.modulated(3.0, [(100.0, 400.0, 12.0), (400.0, 900.0, 0.0)]),
+    ])
+    def test_trains_longer_than_one_block_equal_one_at_a_time(self, profile):
+        """12 candidates per ms over 1000 ms take two blocks of SPIKE_BLOCK."""
+        assert 8192 == spikes.SPIKE_BLOCK < 12.0 * 1000.0
+        train = generate_poisson(profile, 1000.0, seed=2**64 - 3, link_id=2)
+        assert train.times.tobytes() == one_at_a_time(profile, 1000.0, 2**64 - 3, 2).tobytes()
+
+    def test_threads_drawing_at_once_match_serial_draws(self):
+        """Each thread re-keys its own generator, so trains drawn concurrently, each of
+        several blocks, equal serial draws."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        prof = RateProfile.modulated(0.2, [(50.0, 300.0, 4.0), (300.0, 320.0, 0.0)])
+        seeds = [2**63 + k if k % 2 else k for k in range(24)]
+
+        def draw(seed):
+            return generate_poisson(prof, 4000.0, seed, link_id=seed % 5).times.tobytes()
+
+        serial = [draw(seed) for seed in seeds]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(pool.map(draw, seeds))
+        assert parallel == serial
 
 
 class TestMergeTrains:
