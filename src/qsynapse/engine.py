@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateStateError
-from .rng import sample_counts, thread_rng
+from .rng import _pairwise_sum, sample_counts, thread_rng
 
 MAX_STATE_DIM = 4096
 MAX_OPERATOR_DIM = 256
@@ -32,28 +32,6 @@ HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
 OPERATOR_KINDS = ("general", "hermitian", "unitary")
-
-
-def _pairwise_sum(a: list[float], lo: int, n: int) -> float:
-    """Sum of ``a[lo:lo + n]`` in the order ``np.sum`` adds a contiguous float64 array."""
-    if n < 8:
-        s = 0.0
-        for i in range(lo, lo + n):
-            s += a[i]
-        return s
-    if n <= 128:
-        r = a[lo:lo + 8]
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            for j in range(8):
-                r[j] += a[i + j]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, lo + n):
-            s += a[i]
-        return s
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
 
 
 def squared_norm(amps: Sequence[complex]) -> float:
@@ -96,6 +74,8 @@ class QuantumState:
             raise ValueError(f"state dimension {amps.size} exceeds cap {MAX_STATE_DIM}")
         if len(self.basis_labels) != amps.size:
             raise ValueError("basis_labels length must match the state dimension")
+        if len(set(self.basis_labels)) != amps.size:
+            raise ValueError("basis_labels must be distinct")
         norm = math.sqrt(squared_norm(amps.tolist()))
         if not abs(norm - 1.0) < NORM_TOL:
             raise ValueError(f"state norm {norm} is not 1 within {NORM_TOL}")
@@ -300,8 +280,8 @@ def measure(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    counts = sample_counts(state.probabilities(), shots, thread_rng(seed))
-    return {label: int(c) for label, c in zip(state.basis_labels, counts)}
+    probs = [z.real * z.real + z.imag * z.imag for z in state.amplitudes.tolist()]
+    return dict(zip(state.basis_labels, sample_counts(probs, shots, thread_rng(seed))))
 
 
 def load_operator_text(path: str | Path, kind: str = "general") -> OperatorMatrix:

@@ -11,6 +11,8 @@ methods, which keeps generated streams stable across library versions.
 from __future__ import annotations
 
 import threading
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -52,29 +54,54 @@ def thread_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return rng
 
 
+def _pairwise_sum(a: list[float], lo: int, n: int) -> float:
+    """Sum of ``a[lo:lo + n]`` in the order ``np.sum`` adds a contiguous float64 array."""
+    if n < 8:
+        s = 0.0
+        for i in range(lo, lo + n):
+            s += a[i]
+        return s
+    if n <= 128:
+        r = a[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += a[i + j]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            s += a[i]
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
+
+
 # sample_counts draws this many uniforms at a time.  A Generator yields the
 # same stream whatever the block sizes, so the counts do not depend on it;
-# it bounds the memory of a large measurement (100000 shots in one block held
-# three 800 KB arrays at once).
+# it bounds the memory of a large measurement (100000 shots in one block
+# would hold an 800 KB array of uniforms).
 SHOT_BLOCK = 8192
 
 
-def sample_counts(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+def sample_counts(probs: Sequence[float], shots: int, rng: np.random.Generator) -> list[int]:
     """Histogram of ``shots`` i.i.d. inverse-CDF draws from a probability vector.
 
-    Zero-probability bins are unreachable exactly: a bin of zero width can
-    never contain a uniform draw, and the overflow guard below maps any
-    rounding residue at the top of the CDF onto the last nonzero bin.
+    A draw u lands in the first bin k with u < cdf[k], so the draws in bins
+    0..k are those below cdf[k]; the CDF is ``np.cumsum(p / p.sum())`` in
+    Python floats.  Only the edges below the last nonzero bin L are counted:
+    bins past L are unreachable, and L takes every draw at or above
+    cdf[L - 1], rounding residue at the top of the CDF included.
     """
-    p = np.asarray(probs, dtype=float)
-    total = p.sum()
+    p = list(map(float, probs))
+    total = _pairwise_sum(p, 0, len(p))
     if total <= 0.0:
         raise ValueError("probability vector sums to zero")
-    cdf = np.cumsum(p / total)
-    last_nonzero = int(np.flatnonzero(p)[-1])
-    counts = np.zeros(p.size, dtype=np.intp)
+    last = max(k for k, x in enumerate(p) if x != 0.0)
+    cdf = list(accumulate(x / total for x in p[:last]))
+    below = [0] * last
     for start in range(0, shots, SHOT_BLOCK):
-        idx = np.searchsorted(cdf, rng.random(min(SHOT_BLOCK, shots - start)), side="right")
-        counts += np.bincount(np.minimum(idx, last_nonzero, out=idx), minlength=p.size)
-    return counts
-
+        u = rng.random(min(SHOT_BLOCK, shots - start))
+        for k, edge in enumerate(cdf):
+            below[k] += int(np.count_nonzero(u < edge))
+    edges = [0, *below, shots]
+    return [b - a for a, b in zip(edges, edges[1:])] + [0] * (len(p) - 1 - last)

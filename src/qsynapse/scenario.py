@@ -43,6 +43,8 @@ def _require(block: dict, path: str, key: str):
 
 
 def _no_unknown(block: dict, path: str, allowed: set[str]) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path} must be an object")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown field: {path}.{sorted(unknown)[0]}")

@@ -43,7 +43,7 @@ from qsynapse import (
     shutdown_link,
     simulate_network,
 )
-from qsynapse.engine import _pairwise_sum
+from qsynapse.rng import _pairwise_sum
 from qsynapse.harness import run_quantum_windows, window_measure_seed
 from qsynapse.lif import window_crossings
 from qsynapse.scenario import QuantumRunConfig

@@ -264,6 +264,20 @@ def test_validate_rejects_non_finite_rates_lif_and_gap_numbers(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, message", [
+    pytest.param({"lif": 5}, "config error: lif must be an object", id="lif-number"),
+    pytest.param({"spikes": {"profiles": [7]}}, "config error: spikes.profiles[0] must be an object",
+                 id="profile-number"),
+    pytest.param({"quantum": "yes"}, "config error: quantum must be an object", id="quantum-string"),
+])
+def test_validate_rejects_blocks_that_are_not_objects(tmp_path, capsys, block, message):
+    """A number ended in a TypeError traceback, and a string block was read key by key
+    (``quantum: "yes"`` reported an unknown field ``quantum.e``)."""
+    path = good_config(tmp_path, **block)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_calibration_window_count_is_in_whole_steps(tmp_path, capsys):
     """0.3 ms windows at dt 0.1: 29.7 ms holds 99 of them, one short of the minimum."""
     for t_end_ms, code in ((29.7, 1), (30.0, 0)):

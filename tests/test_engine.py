@@ -66,6 +66,11 @@ class TestQuantumState:
         with pytest.raises(ValueError, match="labels"):
             QuantumState(np.array([1.0 + 0j]), ("a", "b"))
 
+    def test_labels_must_be_distinct(self):
+        """A repeated label merged two bins in measure's dict: 353 of 1000 shots vanished."""
+        with pytest.raises(ValueError, match="distinct"):
+            QuantumState.from_amplitudes([0.6, 0.8], labels=("a", "a"))
+
 
 class TestOperatorMatrix:
     def test_hermitian_verified(self):
@@ -312,8 +317,8 @@ class TestMeasure:
         cdf = np.cumsum(p / p.sum())
         idx = np.minimum(np.searchsorted(cdf, stream_rng(9, 3).random(shots), side="right"), 4)
         counts = sample_counts(p, shots, stream_rng(9, 3))
-        assert counts.tolist() == np.bincount(idx, minlength=p.size).tolist()
-        assert counts[[0, 2, 5]].tolist() == [0, 0, 0]
+        assert counts == np.bincount(idx, minlength=p.size).tolist()
+        assert [counts[k] for k in (0, 2, 5)] == [0, 0, 0]
 
 
     def test_counts_equal_a_fresh_stream_per_call(self):
@@ -324,7 +329,7 @@ class TestMeasure:
         seeds = [0, 2**63, 5, 2**63 + 1, 2**64 - 1, 5, 2**63, window_measure_seed(2**63 + 7, 3)]
         for k, seed in enumerate(seeds):
             shots = (1, 999, SHOT_BLOCK + 3)[k % 3]
-            want = sample_counts(p, shots, stream_rng(seed)).tolist()
+            want = sample_counts(p, shots, stream_rng(seed))
             assert list(measure(st_, shots, seed).values()) == want, seed
 
     def test_threads_measuring_at_once_match_serial_calls(self):
@@ -339,6 +344,61 @@ class TestMeasure:
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = list(pool.map(lambda seed: measure(st_, shots, seed), seeds))
         assert parallel == serial
+
+
+def searchsorted_counts(probs, shots, rng, block):
+    """The inverse-CDF search that sample_counts replaced; the oracle."""
+    p = np.asarray(probs, dtype=float)
+    cdf = np.cumsum(p / p.sum())
+    last_nonzero = int(np.flatnonzero(p)[-1])
+    counts = np.zeros(p.size, dtype=np.intp)
+    for start in range(0, shots, block):
+        idx = np.searchsorted(cdf, rng.random(min(block, shots - start)), side="right")
+        counts += np.bincount(np.minimum(idx, last_nonzero, out=idx), minlength=p.size)
+    return counts.tolist()
+
+
+@st.composite
+def probability_vectors(draw):
+    """1-20 unnormalized weights; any bins may be zero (leading, inner, trailing) but one."""
+    n = draw(st.integers(1, 20))
+    live = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    p = [0.0] * n
+    for k in live:
+        p[k] = draw(st.floats(1e-9, 1e9))
+    return p
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("block", [1, 2, 3, SHOT_BLOCK])
+    @settings(max_examples=150, deadline=None)
+    @given(p=probability_vectors(), data=st.data(),
+           seed=st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**64 - 1)))
+    def test_counts_equal_the_searchsorted_histogram(self, block, p, data, seed):
+        shots = data.draw(st.integers(1, 3 * block + 17), label="shots")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("qsynapse.rng.SHOT_BLOCK", block)
+            counts = sample_counts(p, shots, stream_rng(seed, 5))
+        assert counts == searchsorted_counts(p, shots, stream_rng(seed, 5), block)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=probability_vectors())
+    def test_draws_on_the_edges_count_as_the_searchsorted_histogram(self, p):
+        """Draws on numpy's CDF edges and one ULP either side: an edge one ULP off, or a draw
+        on an edge put in the bin below it (side="right" puts it above), changes a count."""
+        cdf = np.cumsum(np.array(p) / np.sum(p))
+        u = np.concatenate([[0.0, 1.0 - 2.0**-53], cdf, np.nextafter(cdf, 0.0),
+                            np.nextafter(cdf, 1.0)])
+
+        class Fixed:
+            def random(self, n):
+                return u[:n]
+
+        assert sample_counts(p, u.size, Fixed()) == searchsorted_counts(p, u.size, Fixed(), u.size)
+
+    def test_zero_total_raises(self):
+        with pytest.raises(ValueError, match="zero"):
+            sample_counts([0.0, 0.0], 10, stream_rng(1))
 
 
 class TestMeasureConvergence:
