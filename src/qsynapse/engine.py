@@ -280,8 +280,8 @@ def measure(state: QuantumState, shots: int, seed: int) -> dict[str, int]:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = [z.real * z.real + z.imag * z.imag for z in state.amplitudes.tolist()]
-    return dict(zip(state.basis_labels, sample_counts(probs, shots, thread_rng(seed))))
+    counts = sample_counts(state.probabilities().tolist(), shots, thread_rng(seed))
+    return dict(zip(state.basis_labels, counts))
 
 
 def load_operator_text(path: str | Path, kind: str = "general") -> OperatorMatrix:

@@ -18,12 +18,13 @@ from qsynapse import (
     rotation_operator,
 )
 from qsynapse.engine import (
+    MAX_STATE_DIM,
     load_operator_text,
     save_operator_text,
     spin_half_generators,
 )
 from qsynapse.harness import window_measure_seed
-from qsynapse.rng import SHOT_BLOCK, sample_counts, stream_rng
+from qsynapse.rng import COMPARE_EDGES, SHOT_BLOCK, sample_counts, stream_rng
 
 
 def taylor_expm(h: np.ndarray, scale: float, terms: int = 30) -> np.ndarray:
@@ -347,7 +348,7 @@ class TestMeasure:
 
 
 def searchsorted_counts(probs, shots, rng, block):
-    """The inverse-CDF search that sample_counts replaced; the oracle."""
+    """The oracle: one inverse-CDF search over the whole CDF, with an overflow guard."""
     p = np.asarray(probs, dtype=float)
     cdf = np.cumsum(p / p.sum())
     last_nonzero = int(np.flatnonzero(p)[-1])
@@ -395,6 +396,17 @@ class TestSampleCounts:
                 return u[:n]
 
         assert sample_counts(p, u.size, Fixed()) == searchsorted_counts(p, u.size, Fixed(), u.size)
+
+    @pytest.mark.parametrize("n", [COMPARE_EDGES + 1, COMPARE_EDGES + 2, COMPARE_EDGES + 3, 48, 256,
+                                   MAX_STATE_DIM])
+    def test_wide_and_boundary_states_count_as_the_searchsorted_histogram(self, n):
+        """Last nonzero bins 7, 8 and 9 sit on both sides of COMPARE_EDGES; 48 to 4096 bins
+        place each draw by bisection.  The counts are the oracle's either way."""
+        p = np.random.default_rng(n).random(n)
+        p[[0, n // 2, n - 1]] = 0.0
+        shots = 2 * SHOT_BLOCK + 17
+        counts = sample_counts(p, shots, stream_rng(n, 5))
+        assert counts == searchsorted_counts(p, shots, stream_rng(n, 5), SHOT_BLOCK)
 
     def test_zero_total_raises(self):
         with pytest.raises(ValueError, match="zero"):
