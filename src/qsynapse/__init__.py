@@ -14,7 +14,6 @@ from .lif import (
     LifParams,
     NetworkTopology,
     Trajectory,
-    decay_conductance,
     measure_firing_probability,
     simulate_network,
 )
@@ -33,14 +32,7 @@ from .engine import (
 from .synapse import (
     CompositionTable,
     SynapseCircuit,
-    TaggedState,
-    bidirectional_step,
     default_composition_table,
-    encode_up,
-    evolve_down,
-    gate_by_tag,
-    gate_up,
-    shutdown_link,
 )
 from .calibration import CalibrationReport, calibrate, ks_statistic, total_variation
 from .scenario import FusionScenario, ScenarioConfig, load_config
@@ -57,7 +49,6 @@ __all__ = [
     "LifParams",
     "NetworkTopology",
     "Trajectory",
-    "decay_conductance",
     "measure_firing_probability",
     "simulate_network",
     "RateProfile",
@@ -75,14 +66,7 @@ __all__ = [
     "rotation_operator",
     "CompositionTable",
     "SynapseCircuit",
-    "TaggedState",
-    "bidirectional_step",
     "default_composition_table",
-    "encode_up",
-    "evolve_down",
-    "gate_by_tag",
-    "gate_up",
-    "shutdown_link",
     "CalibrationReport",
     "calibrate",
     "ks_statistic",

@@ -170,17 +170,6 @@ class NetworkTopology:
         return np.array([float(len(links)) for links in self.upstream_links])
 
 
-def decay_conductance(gs, tau_syn: float, dt: float):
-    """Exact exponential decay of a synaptic conductance over one step."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if tau_syn <= 0:
-        raise ValueError("tau_syn must be > 0")
-    if np.any(np.asarray(gs) < 0):
-        raise ValueError("gs must be >= 0")
-    return gs * math.exp(-dt / tau_syn)
-
-
 def _make_rhs(tot_gs, gap_const, gap_g, drives, n_links, p: LifParams):
     """Stage derivative dv/dt = f(v, decay) with per-step constants hoisted."""
     if p.literal_multilink_leak:

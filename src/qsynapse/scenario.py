@@ -50,6 +50,12 @@ def _no_unknown(block: dict, path: str, allowed: set[str]) -> None:
         raise ConfigError(f"unknown field: {path}.{sorted(unknown)[0]}")
 
 
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be a list, got {value!r}")
+    return value
+
+
 def _number(value, path: str, *, minimum=None, strict_min=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number, got {value!r}")
@@ -210,9 +216,8 @@ def _parse_topology(block: dict, params: LifParams) -> NetworkTopology:
             raise ConfigError(f"topology.upstream_links[{i}] must be a list of link ids")
         links.append([_integer(l, f"topology.upstream_links[{i}][{j}]", minimum=0)
                       for j, l in enumerate(per)])
-    pairs_raw = block.get("elec_pairs", [])
     pairs = []
-    for i, pair in enumerate(pairs_raw):
+    for i, pair in enumerate(_list(block.get("elec_pairs", []), "topology.elec_pairs")):
         if not isinstance(pair, list) or len(pair) not in (2, 3):
             raise ConfigError(f"topology.elec_pairs[{i}] must be [i, j] or [i, j, g_elec]")
         pairs.append(pair[:2] + [_number(g, f"topology.elec_pairs[{i}][2]") for g in pair[2:]])
@@ -225,7 +230,7 @@ def _parse_topology(block: dict, params: LifParams) -> NetworkTopology:
 def _parse_profiles(block: dict, topology: NetworkTopology) -> dict[int, RateProfile]:
     _no_unknown(block, "spikes", {"profiles"})
     profiles: dict[int, RateProfile] = {}
-    for i, prof in enumerate(block.get("profiles", [])):
+    for i, prof in enumerate(_list(block.get("profiles", []), "spikes.profiles")):
         path = f"spikes.profiles[{i}]"
         _no_unknown(prof, path, {"link", "kind", "rate_per_ms", "segments"})
         link = _integer(_require(prof, path, "link"), f"{path}.link", minimum=0)
@@ -270,7 +275,7 @@ def _parse_quantum(block: dict, topology: NetworkTopology, dt_ms: float,
     if "encode_neurons" in block and block["encode_neurons"] is not None:
         encode = tuple(
             _integer(n, f"quantum.encode_neurons[{i}]", minimum=0)
-            for i, n in enumerate(block["encode_neurons"])
+            for i, n in enumerate(_list(block["encode_neurons"], "quantum.encode_neurons"))
         )
     else:
         encode = tuple(range(topology.neuron_count))
@@ -305,7 +310,8 @@ def _parse_quantum(block: dict, topology: NetworkTopology, dt_ms: float,
 
     phases = None
     if block.get("phases") is not None:
-        phases = tuple(_number(v, f"quantum.phases[{i}]") for i, v in enumerate(block["phases"]))
+        phases = tuple(_number(v, f"quantum.phases[{i}]")
+                       for i, v in enumerate(_list(block["phases"], "quantum.phases")))
         if len(phases) != up_dim:
             raise ConfigError(f"quantum.phases must have length {up_dim}")
 
@@ -334,11 +340,12 @@ def _parse_quantum(block: dict, topology: NetworkTopology, dt_ms: float,
 
     b_weights = None
     if block.get("b_weights") is not None:
-        b_weights = _complex_vector(block["b_weights"], "quantum.b_weights")
+        b_weights = _complex_vector(_list(block["b_weights"], "quantum.b_weights"),
+                                    "quantum.b_weights")
 
     shutdowns = tuple(
         _integer(l, f"quantum.shutdown_links[{i}]", minimum=0)
-        for i, l in enumerate(block.get("shutdown_links", []))
+        for i, l in enumerate(_list(block.get("shutdown_links", []), "quantum.shutdown_links"))
     )
 
     color_table = None
@@ -351,11 +358,13 @@ def _parse_quantum(block: dict, topology: NetworkTopology, dt_ms: float,
 
     tags = None
     if block.get("tags") is not None:
-        tags = tuple(_string(t, f"quantum.tags[{i}]") for i, t in enumerate(block["tags"]))
+        tags = tuple(_string(t, f"quantum.tags[{i}]")
+                     for i, t in enumerate(_list(block["tags"], "quantum.tags")))
         if len(tags) != down_dim:
             raise ConfigError(f"quantum.tags must have length {down_dim}")
     blocked = tuple(
-        _string(t, f"quantum.blocked_tags[{i}]") for i, t in enumerate(block.get("blocked_tags", []))
+        _string(t, f"quantum.blocked_tags[{i}]")
+        for i, t in enumerate(_list(block.get("blocked_tags", []), "quantum.blocked_tags"))
     )
     if blocked and tags is None:
         raise ConfigError("quantum.blocked_tags requires quantum.tags")
@@ -417,7 +426,7 @@ def _parse_calibration(block: dict, dt_ms: float, n_steps: int,
     if block.get("link_neurons") is not None:
         link_neurons = tuple(
             _integer(n, f"calibration.link_neurons[{i}]", minimum=0)
-            for i, n in enumerate(block["link_neurons"])
+            for i, n in enumerate(_list(block["link_neurons"], "calibration.link_neurons"))
         )
         for n in link_neurons:
             if n >= topology.neuron_count:
@@ -430,12 +439,11 @@ def _parse_fusion(block: dict, params: LifParams) -> FusionConfig:
     allowed = {"sensors", "n_events", "events", "rate_active", "rate_idle",
                "window_ms", "dt_ms", "shots", "settle_ms", "shutdown_links"}
     _no_unknown(block, "fusion", allowed)
-    sensors_raw = _require(block, "fusion", "sensors")
     sensors = []
     rates = []
     shared_active = _number(block.get("rate_active", 1.2), "fusion.rate_active", minimum=0.0)
     shared_idle = _number(block.get("rate_idle", 0.0), "fusion.rate_idle", minimum=0.0)
-    for i, s in enumerate(sensors_raw):
+    for i, s in enumerate(_list(_require(block, "fusion", "sensors"), "fusion.sensors")):
         path = f"fusion.sensors[{i}]"
         _no_unknown(s, path, {"p", "weight", "rate_active", "rate_idle"})
         p = _number(_require(s, path, "p"), f"{path}.p", minimum=0.0)
@@ -448,7 +456,8 @@ def _parse_fusion(block: dict, params: LifParams) -> FusionConfig:
     if "events" in block and "n_events" in block:
         raise ConfigError("fusion takes either n_events or events, not both")
     if "events" in block:
-        truth = tuple(_boolean(e, f"fusion.events[{i}]") for i, e in enumerate(block["events"]))
+        truth = tuple(_boolean(e, f"fusion.events[{i}]")
+                      for i, e in enumerate(_list(block["events"], "fusion.events")))
     else:
         truth = (True,) * _integer(_require(block, "fusion", "n_events"), "fusion.n_events", minimum=1)
     try:
@@ -457,7 +466,7 @@ def _parse_fusion(block: dict, params: LifParams) -> FusionConfig:
         raise ConfigError(f"fusion: {err}") from err
     shutdowns = tuple(
         _integer(l, f"fusion.shutdown_links[{i}]", minimum=0)
-        for i, l in enumerate(block.get("shutdown_links", []))
+        for i, l in enumerate(_list(block.get("shutdown_links", []), "fusion.shutdown_links"))
     )
     n = len(sensors)
     try:

@@ -31,8 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .engine import (QuantumState, OperatorMatrix, all_finite, classically_controlled_not,
-                     normalized, squared_norm)
+from .engine import OperatorMatrix, all_finite, normalized, squared_norm
 from .errors import ConstraintViolationWarning, DegenerateEncodingError, UnknownTagError
 from .lif import LifParams
 
@@ -125,19 +124,6 @@ def load_composition_table(path: str | Path) -> CompositionTable:
     return CompositionTable(elems, prods)
 
 
-@dataclass(frozen=True)
-class TaggedState:
-    """Quantum state with one color tag per basis component."""
-
-    state: QuantumState
-    tags: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.tags) != self.state.dim:
-            raise ValueError("tags length must equal the state dimension")
-        object.__setattr__(self, "tags", tuple(self.tags))
-
-
 def blocked_components(tags: Sequence[str], blocked: Iterable[str]) -> list[int]:
     """Indices of the components whose tag is in ``blocked``."""
     blocked_set = frozenset(blocked)
@@ -153,20 +139,6 @@ def blanked(amps: list[complex], where: Sequence[int], message: str) -> list[com
     for k in where:
         out[k] = 0j
     return normalized(out, message)
-
-
-def gate_by_tag(tagged: TaggedState, blocked: Iterable[str]) -> TaggedState:
-    """Zero every component whose tag is blocked, renormalize, keep tags.
-
-    Bitwise idempotent: when no nonzero amplitude is affected the input is
-    returned unchanged.
-    """
-    amps = tagged.state.amplitudes.tolist()
-    out = blanked(amps, blocked_components(tagged.tags, blocked),
-                  "every component is blocked by tag")
-    if out is amps:
-        return tagged
-    return TaggedState(QuantumState(out, tagged.state.basis_labels), tagged.tags)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +245,11 @@ class SynapseCircuit:
 
 def encode_amplitudes(probabilities: Sequence[float],
                       phases: Sequence[float] | None = None) -> list[complex]:
-    """``encode_up``'s amplitudes sqrt(p_k / sum p) e^{i phase_k} as a list of complex."""
+    """Crossing probabilities as amplitudes sqrt(p_k / sum p) e^{i phase_k}, a list of complex.
+
+    Raw probabilities need not sum to one; callers record the sum so the
+    inputs stay recoverable from the normalized state.
+    """
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("probabilities must be a nonempty vector")
@@ -289,26 +265,6 @@ def encode_amplitudes(probabilities: Sequence[float],
             raise ValueError("phases length must match probabilities")
         amps = amps * np.exp(1j * ph)
     return amps.tolist()
-
-
-def encode_up(
-    probabilities: Sequence[float],
-    phases: Sequence[float] | None = None,
-    labels: Sequence[str] | None = None,
-) -> QuantumState:
-    """Encode crossing probabilities as amplitudes sqrt(p_k / sum p) e^{i phase_k}.
-
-    Raw probabilities need not sum to one; callers record the sum so the
-    inputs stay recoverable from the normalized state.
-    """
-    return QuantumState.from_amplitudes(encode_amplitudes(probabilities, phases), labels)
-
-
-def gate_up(
-    state: QuantumState, v_now: float, v_thres: float, link_pair: tuple[int, int]
-) -> QuantumState:
-    """Controlled NOT on ``link_pair`` gated by a strict threshold comparison."""
-    return classically_controlled_not(state, link_pair, v_now > v_thres)
 
 
 # ---------------------------------------------------------------------------
@@ -356,84 +312,7 @@ def _euler_step(state: list[complex], drive: list[complex], dtc: complex, kick: 
     return _combine(state, delta, message)
 
 
-def _drive_rate(params: LifParams, drive_scale: float) -> complex:
-    """i * drive_scale * g_leak/cm: the step's kick on component 0 is dt*(rate*(v - v_rest))."""
-    return 1j * drive_scale * (params.g_leak / params.cm)
-
-
-def _operands(circuit: SynapseCircuit):
-    """(K, coupling, b_weights) of ``circuit`` as nested lists of complex, None where absent."""
-    k = circuit.k_operator
-    return (
-        None if k is None else k.entries.tolist(),
-        None if circuit.coupling is None else circuit.coupling.tolist(),
-        None if circuit.b_weights is None else circuit.b_weights.tolist(),
-    )
-
-
 def _round_trip(up, down, dtc, kick, k, coupling, b):
-    """Feedback mix, upstream drive step, downstream combination (see bidirectional_step)."""
-    if k is not None:
-        up = _combine(up, _matvec(k, down), "feedback mix collapsed to the zero state")
-    up = _euler_step(up, down, dtc, kick, "upstream drive step collapsed to the zero state")
-    if b is None:
-        return up, down
-    coupled = up if coupling is None else _matvec(coupling, up)
-    return up, _combine(down, [w * c for w, c in zip(b, coupled)],
-                        "downstream combination collapsed to the zero state")
-
-
-def evolve_down(
-    psi_down: QuantumState,
-    psi_up: QuantumState | None,
-    v_now: float,
-    params: LifParams,
-    drive_scale: float,
-    dt: float,
-) -> QuantumState:
-    """One explicit Euler step of the downstream evolution, renormalized.
-
-    ``psi_up`` may be None when no upstream drive exists; a step whose whole
-    contribution is exactly zero returns the input unchanged.  First order
-    by design: the upstream drive changes discontinuously at spike events,
-    so higher-order smoothness assumptions do not hold.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if psi_up is None:
-        drive = [0j] * psi_down.dim
-    else:
-        if psi_down.dim != psi_up.dim:
-            raise ValueError(
-                f"state dimensions differ: {psi_down.dim} != {psi_up.dim}; map the "
-                "upstream state through the coupling first"
-            )
-        drive = psi_up.amplitudes.tolist()
-    down = psi_down.amplitudes.tolist()
-    kick = dt * (_drive_rate(params, drive_scale) * (v_now - params.v_rest))
-    out = _euler_step(down, drive, complex(dt, 0.0), kick,
-                      "downstream evolution step collapsed to the zero state")
-    if out is down:
-        return psi_down
-    return QuantumState(out, psi_down.basis_labels)
-
-
-def _check_circuit_states(circuit: SynapseCircuit, up: Sequence[complex],
-                          down: Sequence[complex], dt: float) -> None:
-    if len(up) != circuit.up_dim or len(down) != circuit.down_dim:
-        raise ValueError("state dimensions do not match the circuit")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-
-
-def bidirectional_step(
-    circuit: SynapseCircuit,
-    psi_up: QuantumState,
-    psi_down: QuantumState,
-    v_now: float,
-    params: LifParams,
-    dt: float,
-) -> tuple[QuantumState, QuantumState]:
     """One feedback round trip; returns the combined (upstream, downstream) pair.
 
     Three stages, each renormalized, each raising with its own name when it
@@ -443,17 +322,14 @@ def bidirectional_step(
     weighted, coupled upstream result back onto the downstream state.  A
     stage whose contribution is exactly zero is skipped bitwise.
     """
-    if circuit.mode != "bidirectional":
-        raise ValueError("circuit is not bidirectional")
-    _check_circuit_states(circuit, psi_up.amplitudes, psi_down.amplitudes, dt)
-    down = psi_down.amplitudes.tolist()
-    kick = dt * (_drive_rate(params, circuit.drive_scale) * (v_now - params.v_rest))
-    up, down2 = _round_trip(psi_up.amplitudes.tolist(), down, complex(dt, 0.0), kick,
-                            *_operands(circuit))
-    psi_up2 = QuantumState(up, psi_up.basis_labels)
-    if down2 is down:
-        return psi_up2, psi_down
-    return psi_up2, QuantumState(down2, psi_down.basis_labels)
+    if k is not None:
+        up = _combine(up, _matvec(k, down), "feedback mix collapsed to the zero state")
+    up = _euler_step(up, down, dtc, kick, "upstream drive step collapsed to the zero state")
+    if b is None:
+        return up, down
+    coupled = up if coupling is None else _matvec(coupling, up)
+    return up, _combine(down, [w * c for w, c in zip(b, coupled)],
+                        "downstream combination collapsed to the zero state")
 
 
 def run_circuit(
@@ -474,9 +350,13 @@ def run_circuit(
     feedback round trip.  ``up_record`` is the round trip's combined upstream
     state, or the gated encoding in one-way mode; the next step keeps the
     gated encoding either way.  The loop runs in the fixed order described
-    above ``_combine``.
+    above ``_combine``.  The Euler steps are first order by design: the
+    upstream drive changes discontinuously at spike events.
     """
-    _check_circuit_states(circuit, up, down, dt)
+    if len(up) != circuit.up_dim or len(down) != circuit.down_dim:
+        raise ValueError("state dimensions do not match the circuit")
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
     if circuit.coupling is None and circuit.up_dim != circuit.down_dim:
         raise ValueError("a circuit without coupling needs equal dimensions")
     if gate_pair is not None:
@@ -484,9 +364,11 @@ def run_circuit(
         if i == j or not (0 <= i < circuit.up_dim and 0 <= j < circuit.up_dim):
             raise ValueError(f"gate_pair {gate_pair} invalid for dimension {circuit.up_dim}")
     bidirectional = circuit.mode == "bidirectional"
-    k, coupling, b = _operands(circuit)
+    k = None if circuit.k_operator is None else circuit.k_operator.entries.tolist()
+    coupling = None if circuit.coupling is None else circuit.coupling.tolist()
+    b = None if circuit.b_weights is None else circuit.b_weights.tolist()
     dtc = complex(dt, 0.0)
-    rate = _drive_rate(params, circuit.drive_scale)
+    rate = 1j * circuit.drive_scale * (params.g_leak / params.cm)  # kick: dt*(rate*(v - v_rest))
     v_rest, v_thres = params.v_rest, params.v_thres
     record = up
     for v_now in np.asarray(potentials, dtype=float).tolist():
@@ -503,12 +385,3 @@ def run_circuit(
         else:
             record = up
     return record, down
-
-
-def shutdown_link(state: QuantumState, link: int) -> QuantumState:
-    """Force one component to exactly zero and renormalize the rest."""
-    if not 0 <= link < state.dim:
-        raise ValueError(f"link {link} out of range for dimension {state.dim}")
-    amps = state.amplitudes.tolist()
-    out = blanked(amps, (link,), f"link {link} is the only nonzero component")
-    return state if out is amps else QuantumState(out, state.basis_labels)

@@ -22,29 +22,23 @@ from qsynapse import (
     RateProfile,
     RotationSpec,
     SynapseCircuit,
-    TaggedState,
     Trajectory,
-    bidirectional_step,
     calibrate,
     cnot_matrix,
     default_composition_table,
-    encode_up,
-    evolve_down,
     expm_hermitian,
-    gate_by_tag,
-    gate_up,
     generate_poisson,
     load_config,
-    measure,
     merge_trains,
     rotation_operator,
     run_fusion_demo,
     run_scenario,
-    shutdown_link,
     simulate_network,
 )
+from qsynapse.calibration import readout
 from qsynapse.harness import run_quantum_windows
 from qsynapse.rng import stream_rng
+from qsynapse.synapse import blanked, blocked_components, encode_amplitudes, run_circuit
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -67,16 +61,15 @@ def test_01_lif_relaxation_oracle():
 
 
 def test_02_conductance_decay_closed_form():
-    from qsynapse import decay_conductance
-
+    """One spike at t = 0 bumps the link's conductance to g0 = delta_g; the recorded
+    conductance then decays step by step."""
     t0 = time.perf_counter()
     g0, tau, dt, steps = 0.3, 5.0, 0.05, 5000
-    g = g0
-    worst = 0.0
-    for i in range(1, steps + 1):
-        g = decay_conductance(g, tau, dt)
-        exact = g0 * math.exp(-i * dt / tau)
-        worst = max(worst, abs(g - exact) / exact)
+    p = LifParams(tau_syn=tau, delta_g=g0)
+    traj = simulate_network(p, NetworkTopology.build(1, [[0]]), [(0.0, 0)], steps * dt, dt)
+    assert traj.gs.shape == (steps + 1, 1) and traj.gs[0, 0] == 0.0
+    exact = g0 * np.exp(-np.arange(1, steps + 1) * dt / tau)
+    worst = float((np.abs(traj.gs[1:, 0] - exact) / exact).max())
     elapsed = time.perf_counter() - t0
     assert worst < 1e-9
     assert elapsed < 1.0
@@ -141,46 +134,52 @@ def test_05_rotation_operator_suite():
 
 
 def test_06_normalization_invariant_randomized():
+    """Gated, one-way and bidirectional circuit windows of 1-5 steps, and the readout's
+    shutdown and tag blanks, in turn on one carried downstream state."""
     params = LifParams()
     rng = np.random.default_rng(606)
     dim = 4
     table = default_composition_table()
     tags = tuple(rng.choice(table.elements, size=dim))
-    down = QuantumState.uniform(dim)
+    one_way = SynapseCircuit(dim, dim)
+    uniform = QuantumState.uniform(dim).amplitudes.tolist()
+    down = uniform
     degenerate_errors = 0
     checked = 0
-    k_op = None
     circuit = None
     for step in range(10_000):
         if step % 50 == 0:
             a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            k_op = OperatorMatrix(0.4 * (a + a.conj().T), kind="hermitian")
             circuit = SynapseCircuit(
                 up_dim=dim, down_dim=dim, mode="bidirectional",
-                k_operator=k_op, b_weights=rng.standard_normal(dim) * 0.5,
+                k_operator=OperatorMatrix(0.4 * (a + a.conj().T), kind="hermitian"),
+                b_weights=rng.standard_normal(dim) * 0.5,
             )
         op = step % 5
-        v = params.v_rest + float(rng.uniform(-20, 25))
+        potentials = params.v_rest + rng.uniform(-20, 25, size=int(rng.integers(1, 6)))
         dt = float(rng.uniform(0.01, 0.5))
-        up = encode_up(rng.uniform(0.05, 1.0, size=dim))
+        up = encode_amplitudes(rng.uniform(0.05, 1.0, size=dim))
         try:
             if op == 0:
-                down = gate_up(down, v, params.v_thres, tuple(rng.choice(dim, 2, replace=False)))
+                gate_pair = tuple(rng.choice(dim, 2, replace=False).tolist())
+                up, down = run_circuit(one_way, up, down, potentials, params, dt, gate_pair)
             elif op == 1:
-                down = evolve_down(down, up, v, params, 1.0, dt)
+                _, down = run_circuit(one_way, up, down, potentials, params, dt)
             elif op == 2:
-                _, down = bidirectional_step(circuit, up, down, v, params, dt)
+                up, down = run_circuit(circuit, up, down, potentials, params, dt)
             elif op == 3:
-                down = shutdown_link(down, int(rng.integers(dim)))
+                link = int(rng.integers(dim))
+                down = blanked(down, (link,), f"link {link} is the only nonzero component")
             else:
-                out = gate_by_tag(TaggedState(down, tags), {str(rng.choice(table.elements))})
-                down = out.state
+                blocked = blocked_components(tags, {str(rng.choice(table.elements))})
+                down = blanked(down, blocked, "every component is blocked by tag")
         except DegenerateStateError:
             degenerate_errors += 1
-            down = QuantumState.uniform(dim)
+            down = uniform
             continue
-        norm_err = abs(down.norm() - 1.0)
-        assert norm_err < 1e-10, f"step {step}: |norm-1| = {norm_err}"
+        for state in (up, down):
+            norm_err = abs(float(np.linalg.norm(state)) - 1.0)
+            assert norm_err < 1e-10, f"step {step}: |norm-1| = {norm_err}"
         checked += 1
     report(
         6,
@@ -258,10 +257,10 @@ def test_08_calibration_closure():
 
 
 def test_09_shutdown_exactness():
-    state = shutdown_link(QuantumState.uniform(4), 2)
-    counts = measure(state, 100_000, seed=909)
-    assert counts["2"] == 0
-    assert sum(counts.values()) == 100_000
+    circuit = SynapseCircuit(4, 4, shutdown_links=(2,))
+    counts = readout(circuit, QuantumState.uniform(4).amplitudes.tolist(), 100_000, 909)
+    assert counts[2] == 0
+    assert counts.sum() == 100_000
     report(9, "100000 shots after link shutdown produced exactly 0 counts on the shut link")
 
 
@@ -282,12 +281,15 @@ def test_10_colored_algebra_decidability():
     for _ in range(100):
         dim = int(rng.integers(2, 7))
         tags = tuple(rng.choice(table.elements, size=dim))
-        state = encode_up(rng.uniform(0.05, 1.0, size=dim))
+        state = encode_amplitudes(rng.uniform(0.05, 1.0, size=dim))
         keep = tags[int(rng.integers(dim))]
         blocked = set(rng.choice(table.elements, size=int(rng.integers(0, 4)))) - {keep}
-        once = gate_by_tag(TaggedState(state, tags), blocked)
-        twice = gate_by_tag(once, blocked)
+        where = blocked_components(tags, blocked)
+        once = blanked(state, where, "every component is blocked by tag")
+        twice = blanked(once, where, "every component is blocked by tag")
         assert twice is once
+        counts = readout(SynapseCircuit(dim, dim), state, 1000, 1010, tags, tuple(blocked))
+        assert counts.sum() == 1000 and not counts[where].any()
     report(10, "4-element table total/associative with identity and absorber; tag gating idempotent")
 
 

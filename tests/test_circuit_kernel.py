@@ -1,16 +1,16 @@
 """run_circuit and run_quantum_windows against a per-step QuantumState oracle.
 
-The oracle is the loop the kernel replaced: gate_up, the coupled drive,
-one Euler step of the downstream state and the feedback round trip, each
-building a validated QuantumState.  Its sums, real scalings and
-normalizations are numpy calls, spelled as they were before the scalar
-kernel existed, so circuits without K, coupling or b_weights are held
-bitwise to numpy.  Its K @ down, coupling @ up and b_weights * coupled
+The oracle is the loop the kernel replaced: the classically-controlled NOT,
+the coupled drive, one Euler step of the downstream state and the feedback
+round trip, each building a validated QuantumState.  Its sums, real
+scalings and normalizations are numpy calls, spelled as they were before
+the scalar kernel existed, so circuits without K, coupling or b_weights are
+held bitwise to numpy.  Its K @ down, coupling @ up and b_weights * coupled
 products are written out in real arithmetic (each row summed from zero in
 column order, nothing fused), so circuits with them are held bitwise to the
 kernel's documented order and not to whichever kernel numpy dispatches to.
-The public evolve_down/bidirectional_step shells and the window runner are
-checked against the same oracle.
+The window runner is checked against the same oracle, followed by the
+readout's shutdown and tag blanks spelled in numpy.
 """
 
 import dataclasses
@@ -29,25 +29,19 @@ from qsynapse import (
     OperatorMatrix,
     QuantumState,
     SynapseCircuit,
-    TaggedState,
-    bidirectional_step,
+    classically_controlled_not,
     default_composition_table,
-    encode_up,
-    evolve_down,
     expm_hermitian,
-    gate_by_tag,
-    gate_up,
     generate_poisson,
     measure,
     merge_trains,
-    shutdown_link,
     simulate_network,
 )
 from qsynapse.rng import _pairwise_sum
 from qsynapse.harness import run_quantum_windows, window_measure_seed
 from qsynapse.lif import window_crossings
 from qsynapse.scenario import QuantumRunConfig
-from qsynapse.synapse import run_circuit
+from qsynapse.synapse import encode_amplitudes, run_circuit
 
 PARAMS = LifParams(spike_jump=16.0, v_init=-65.0)
 
@@ -116,17 +110,17 @@ def oracle_bidirectional_step(circuit, psi_up, psi_down, v_now, params, dt):
     return psi_up2, QuantumState(combined, psi_down.basis_labels)
 
 
-def same_bits(a: QuantumState, b: QuantumState) -> bool:
-    return a.amplitudes.tobytes() == b.amplitudes.tobytes()
+def encoded(probabilities, phases=None):
+    return QuantumState.from_amplitudes(encode_amplitudes(probabilities, phases))
 
 
 def oracle_circuit(circuit, psi_up, psi_down, potentials, params, dt, gate_pair):
-    """The per-step loop; also checks the public shells against it at every step."""
+    """The per-step loop."""
     up_record = psi_up
     for v_now in potentials:
         v_now = float(v_now)
         if gate_pair is not None:
-            psi_up = gate_up(psi_up, v_now, params.v_thres, gate_pair)
+            psi_up = classically_controlled_not(psi_up, gate_pair, v_now > params.v_thres)
         if circuit.coupling is None:
             drive = psi_up
         else:
@@ -134,17 +128,11 @@ def oracle_circuit(circuit, psi_up, psi_down, potentials, params, dt, gate_pair)
                 _normalized(plain_matvec(circuit.coupling, psi_up.amplitudes), "coupled drive"),
                 psi_down.basis_labels,
             )
-        stepped = oracle_evolve_down(psi_down, drive, v_now, params, circuit.drive_scale, dt)
-        assert same_bits(evolve_down(psi_down, drive, v_now, params, circuit.drive_scale, dt),
-                         stepped)
-        psi_down = stepped
+        psi_down = oracle_evolve_down(psi_down, drive, v_now, params, circuit.drive_scale, dt)
         if circuit.mode == "bidirectional":
-            up_record, combined = oracle_bidirectional_step(
+            up_record, psi_down = oracle_bidirectional_step(
                 circuit, psi_up, psi_down, v_now, params, dt
             )
-            shell_up, shell_down = bidirectional_step(circuit, psi_up, psi_down, v_now, params, dt)
-            assert same_bits(shell_up, up_record) and same_bits(shell_down, combined)
-            psi_down = combined
         else:
             up_record = psi_up
     return up_record, psi_down
@@ -215,8 +203,8 @@ potentials_strategy = st.lists(
 )
 def test_run_circuit_matches_per_step_oracle_bitwise(drawn, potentials, dt):
     circuit, gate_pair, rng = drawn
-    psi_up = encode_up(rng.uniform(0.05, 1.0, circuit.up_dim),
-                       rng.uniform(-3.0, 3.0, circuit.up_dim))
+    psi_up = encoded(rng.uniform(0.05, 1.0, circuit.up_dim),
+                     rng.uniform(-3.0, 3.0, circuit.up_dim))
     psi_down = _random_state(rng, circuit.down_dim)
     up, down = psi_up.amplitudes.tolist(), psi_down.amplitudes.tolist()
     try:
@@ -266,6 +254,18 @@ def test_run_circuit_validates_at_entry():
         run_circuit(SynapseCircuit(2, 3), up, [1j, 0j, 0j], [-65.0], PARAMS, 0.1)
 
 
+def oracle_blank(state, where, message):
+    """``state`` with the components at ``where`` zeroed and the rest renormalized, or
+    ``state`` itself when those are already zero."""
+    if not state.amplitudes[where].any():
+        return state
+    amps = state.amplitudes.copy()
+    amps[where] = 0.0
+    if not amps.any():
+        raise DegenerateStateError(message)
+    return QuantumState(_normalized(amps, message), state.basis_labels)
+
+
 def oracle_windows(traj, qcfg, master_seed):
     """The window runner before the kernel: per-step states, then its own readout."""
     circuit = qcfg.circuit
@@ -281,13 +281,15 @@ def oracle_windows(traj, qcfg, master_seed):
                         np.zeros(circuit.down_dim, dtype=int)))
             continue
         potentials = traj.v[w * stride:(w + 1) * stride, qcfg.potential_neuron]
-        up_record, psi_down = oracle_circuit(circuit, encode_up(p, qcfg.phases), psi_down,
+        up_record, psi_down = oracle_circuit(circuit, encoded(p, qcfg.phases), psi_down,
                                              potentials, traj.params, traj.dt_ms, qcfg.gate_pair)
         meas = psi_down
         for link in circuit.shutdown_links:
-            meas = shutdown_link(meas, link)
+            meas = oracle_blank(meas, [link], f"link {link} is the only nonzero component")
         if qcfg.tags is not None and qcfg.blocked_tags:
-            meas = gate_by_tag(TaggedState(meas, qcfg.tags), qcfg.blocked_tags).state
+            meas = oracle_blank(meas, [k for k, tag in enumerate(qcfg.tags)
+                                       if tag in qcfg.blocked_tags],
+                                "every component is blocked by tag")
         counts = measure(meas, qcfg.shots, window_measure_seed(master_seed, w))
         out.append((False, up_record.probabilities(), psi_down,
                     np.array([counts[label] for label in meas.basis_labels])))

@@ -278,6 +278,42 @@ def test_validate_rejects_blocks_that_are_not_objects(tmp_path, capsys, block, m
     assert message in capsys.readouterr().err
 
 
+def _two_neurons(quantum=None, **extra):
+    block = {"topology": {"neuron_count": 2, "upstream_links": [[0], [1]]}, **extra}
+    if quantum is not None:
+        block["quantum"] = {"enabled": True, "window_ms": 5.0, "shots": 10, **quantum}
+    return block
+
+
+@pytest.mark.parametrize("block, field", [
+    pytest.param({"spikes": {"profiles": 7}}, "spikes.profiles", id="profiles"),
+    pytest.param({"topology": {"neuron_count": 1, "upstream_links": [[0]], "elec_pairs": 3}},
+                 "topology.elec_pairs", id="elec-pairs"),
+    pytest.param(_two_neurons({"encode_neurons": 5}), "quantum.encode_neurons",
+                 id="encode-neurons"),
+    pytest.param(_two_neurons({"phases": 0.5}), "quantum.phases", id="phases"),
+    pytest.param(_two_neurons({"b_weights": 1.0}), "quantum.b_weights", id="b-weights"),
+    pytest.param(_two_neurons({"shutdown_links": 1}), "quantum.shutdown_links",
+                 id="quantum-shutdown-links"),
+    pytest.param(_two_neurons({"tags": "ab", "down_dim": 2}), "quantum.tags", id="tags-string"),
+    pytest.param(_two_neurons({"tags": ["neutral", "block"], "blocked_tags": "block"}),
+                 "quantum.blocked_tags", id="blocked-tags-string"),
+    pytest.param(_two_neurons(calibration={"enabled": True, "window_ms": 0.3, "link_neurons": 0}),
+                 "calibration.link_neurons", id="link-neurons"),
+    pytest.param({"fusion": dict(_fusion_block([]), sensors=5)}, "fusion.sensors", id="sensors"),
+    pytest.param({"fusion": {"sensors": _fusion_block([])["sensors"], "events": 1}},
+                 "fusion.events", id="events"),
+    pytest.param({"fusion": _fusion_block(2)}, "fusion.shutdown_links",
+                 id="fusion-shutdown-links"),
+])
+def test_validate_rejects_list_fields_that_are_not_lists(tmp_path, capsys, block, field):
+    """A number ended in a TypeError traceback, and a string was read as a list of its
+    characters (``"tags": "ab"`` validated as the tags a and b)."""
+    path = good_config(tmp_path, **block)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert f"config error: {field} must be a list" in capsys.readouterr().err
+
+
 def test_calibration_window_count_is_in_whole_steps(tmp_path, capsys):
     """0.3 ms windows at dt 0.1: 29.7 ms holds 99 of them, one short of the minimum."""
     for t_end_ms, code in ((29.7, 1), (30.0, 0)):

@@ -587,3 +587,22 @@ class TestCsvWriterBytes:
             write(report, tmp_path / "kv.csv")
             got = (tmp_path / "kv.csv").read_bytes()
             assert got == self.reference(tmp_path / "ref.csv", ["key", "value"], rows)
+
+
+def test_looked_up_names_resolve():
+    """perfbench/spans.py wraps the functions in its TARGETS by module and name, and
+    ``qsynapse.__all__`` is the package's exported surface; both must name real objects."""
+    import importlib
+    import importlib.util
+
+    import qsynapse
+
+    path = Path(__file__).parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for mod_name, attr, _, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)
+    for name in qsynapse.__all__:
+        assert hasattr(qsynapse, name), name

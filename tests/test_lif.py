@@ -10,7 +10,6 @@ from qsynapse import (
     LifParams,
     NetworkTopology,
     NumericalDivergenceError,
-    decay_conductance,
     measure_firing_probability,
     simulate_network,
 )
@@ -67,23 +66,35 @@ class TestParams:
 
 
 class TestDecayConductance:
+    """The recorded conductance of one link after a single spike at t = 0, which bumps
+    it to delta_g at the first step boundary."""
+
+    @staticmethod
+    def gs(delta_g, tau_syn, dt, steps, events=((0.0, 0),)):
+        topo = NetworkTopology.build(1, [[0]])
+        params = LifParams(delta_g=delta_g, tau_syn=tau_syn)
+        return simulate_network(params, topo, list(events), steps * dt, dt).gs[:, 0]
+
     def test_zero_fixed_point(self):
-        assert decay_conductance(0.0, 5.0, 1.0) == 0.0
+        assert not self.gs(0.01, 5.0, 1.0, 3, events=()).any()
 
     def test_one_time_constant(self):
         g0 = 0.37
-        assert decay_conductance(g0, 5.0, 5.0) == pytest.approx(g0 / math.e, rel=1e-12)
+        assert self.gs(g0, 5.0, 5.0, 1)[1] == pytest.approx(g0 / math.e, rel=1e-12)
 
     def test_semigroup(self):
         g0 = 0.2
-        half_twice = decay_conductance(decay_conductance(g0, 3.0, 0.5), 3.0, 0.5)
-        assert half_twice == pytest.approx(decay_conductance(g0, 3.0, 1.0), rel=1e-12)
+        half_twice = self.gs(g0, 3.0, 0.5, 2)[2]
+        assert half_twice == pytest.approx(self.gs(g0, 3.0, 1.0, 1)[1], rel=1e-12)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            decay_conductance(-1.0, 5.0, 1.0)
-        with pytest.raises(ValueError):
-            decay_conductance(1.0, 5.0, 0.0)
+        """No conductance goes negative, and the decay needs tau_syn > 0 and dt > 0."""
+        with pytest.raises(ValueError, match="delta_g"):
+            LifParams(delta_g=-0.01)
+        with pytest.raises(ValueError, match="tau_syn"):
+            LifParams(tau_syn=0.0)
+        with pytest.raises(ValueError, match="dt_ms"):
+            self.gs(0.01, 5.0, 0.0, 1)
 
 
 def run_single(params, t_end, dt, events=(), n_links=1, v_init=None):

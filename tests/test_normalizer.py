@@ -17,15 +17,12 @@ from qsynapse import (
     OperatorMatrix,
     QuantumState,
     SynapseCircuit,
-    TaggedState,
     apply_operator,
     default_composition_table,
-    encode_up,
-    gate_by_tag,
-    shutdown_link,
 )
 from qsynapse import calibration
 from qsynapse.engine import MAX_OPERATOR_DIM
+from qsynapse.synapse import blanked, blocked_components, encode_amplitudes
 
 DIMS = range(1, 301)
 TAGS = default_composition_table().elements
@@ -76,31 +73,26 @@ def random_blocking(rng, dim):
 
 
 def test_shutdown_link_and_gate_by_tag_match_numpy_blank():
+    """``blanked`` on one shutdown link, then on the components of the blocked tags."""
     for dim, k, rng in draws():
         amps = random_amplitudes(rng, dim)
-        state = QuantumState(amps, tuple(map(str, range(dim))))
-
         link = int(rng.integers(dim))
-        want = oracle(numpy_blank, amps, link, f"link {link} is the only nonzero component")
-        if isinstance(want, str):
-            with pytest.raises(DegenerateStateError, match=want):
-                shutdown_link(state, link)
-        else:
-            got = shutdown_link(state, link)
-            assert got.amplitudes.tobytes() == want.tobytes(), (dim, k)
-            assert (got is state) == (want is amps), (dim, k)
-
         tags, blocked = random_blocking(rng, dim)
         mask = np.array([tag in blocked for tag in tags])
-        want = oracle(numpy_blank, amps, mask, "every component is blocked by tag")
-        tagged = TaggedState(state, tags)
-        if isinstance(want, str):
-            with pytest.raises(DegenerateStateError, match=want):
-                gate_by_tag(tagged, blocked)
-        else:
-            got = gate_by_tag(tagged, blocked)
-            assert got.state.amplitudes.tobytes() == want.tobytes(), (dim, k)
-            assert (got is tagged) == (want is amps), (dim, k)
+        for where, index, message in (
+            ([link], link, f"link {link} is the only nonzero component"),
+            (blocked_components(tags, blocked), mask, "every component is blocked by tag"),
+        ):
+            want = oracle(numpy_blank, amps, index, message)
+            down = amps.tolist()
+            if isinstance(want, str):
+                with pytest.raises(DegenerateStateError, match=want):
+                    blanked(down, where, message)
+            else:
+                got = blanked(down, where, message)
+                assert np.array(got).tobytes() == want.tobytes(), (dim, k)
+                assert (got is down) == (want is amps), (dim, k)
+            assert down == amps.tolist(), "blanked changed its input"
 
 
 def test_readout_blanks_match_numpy_blank(monkeypatch):
@@ -158,7 +150,7 @@ def test_encode_up_matches_numpy():
         p[rng.random(dim) < 0.2] = 0.0
         p[rng.integers(dim)] = 0.5
         want = np.sqrt(p / p.sum()).astype(complex)
-        assert encode_up(p).amplitudes.tobytes() == want.tobytes(), (dim, k)
+        assert np.array(encode_amplitudes(p)).tobytes() == want.tobytes(), (dim, k)
         phases = rng.uniform(-3.0, 3.0, dim)
         want = want * np.exp(1j * phases)
-        assert encode_up(p, phases).amplitudes.tobytes() == want.tobytes(), (dim, k)
+        assert np.array(encode_amplitudes(p, phases)).tobytes() == want.tobytes(), (dim, k)
